@@ -2,8 +2,7 @@
 // header models and graph density. Every cell is *computed*: positive cells
 // run the paper's construction through the engine-backed exhaustive verifier
 // (early-exit parallel sweeps); negative cells defeat an entire candidate-
-// pattern corpus with the matching attack, sharing one ConnectivityOracle
-// across the corpus so each failure set's component BFS runs once.
+// pattern corpus with the matching attack.
 //
 // Paper layout (Fig. 9):
 //   touring:             possible up to outerplanar;   impossible from K4 / K2,3
@@ -23,7 +22,6 @@
 #include "attacks/pattern_corpus.hpp"
 #include "attacks/touring_attack.hpp"
 #include "graph/builders.hpp"
-#include "graph/connectivity_oracle.hpp"
 #include "resilience/algorithm1_k5.hpp"
 #include "resilience/k33_source.hpp"
 #include "resilience/k5m2_dest.hpp"
@@ -160,14 +158,10 @@ int main(int argc, char** argv) {
           std::pair<const char*, Graph>{"K3,3^-1", make_complete_bipartite_minus(3, 3, 1)}}) {
       if (!owns_cell()) continue;
       const Graph& graph = g;
-      // One oracle across the whole corpus: every pattern's defeat search
-      // enumerates the same failure sets.
-      ConnectivityOracle oracle(graph);
       const auto cell = defeat_cell(
           graph, RoutingModel::kDestinationOnly,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat_any_pair(graph, p, graph.num_edges(), &oracle)
-                .defeated();
+            return find_minimum_defeat_any_pair(graph, p, graph.num_edges()).defeated();
           },
           log, "destination", name);
       std::printf("  %-35s %s\n", name, cell.c_str());
@@ -194,22 +188,20 @@ int main(int argc, char** argv) {
 
     if (owns_cell()) {
       const Graph k7 = make_complete(7);
-      ConnectivityOracle oracle(k7);
       const auto cell = defeat_cell(
           k7, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k7, p, 0, 6, 15, &oracle).defeated();
+            return find_minimum_defeat(k7, p, 0, 6, 15).defeated();
           },
           log, "source-destination", "K7");
       std::printf("  %-35s %s\n", "K7 (<=15 failures, Cor. 3)", cell.c_str());
     }
     if (owns_cell()) {
       const Graph k44 = make_complete_bipartite(4, 4);
-      ConnectivityOracle oracle(k44);
       const auto cell = defeat_cell(
           k44, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k44, p, 0, 7, 11, &oracle).defeated();
+            return find_minimum_defeat(k44, p, 0, 7, 11).defeated();
           },
           log, "source-destination", "K4,4");
       std::printf("  %-35s %s\n", "K4,4 (<=11 failures, Cor. 4)", cell.c_str());

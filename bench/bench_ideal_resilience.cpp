@@ -15,16 +15,13 @@
 // Runs on the SweepEngine's early-exit verification: the budget probe walks
 // the |F| = f strata incrementally (each failure set is simulated exactly
 // once across the whole probe, instead of re-verifying |F| <= f from scratch
-// at every f), and one ConnectivityOracle per graph shares the component
-// BFS across pairs, strata and patterns. `--json <path>` writes the table
-// machine-readably.
+// at every f). `--json <path>` writes the table machine-readably.
 
 #include <cstdio>
 #include <string>
 
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
-#include "graph/connectivity_oracle.hpp"
 #include "resilience/arborescence_routing.hpp"
 #include "resilience/chiesa_baseline.hpp"
 #include "routing/verifier.hpp"
@@ -41,10 +38,9 @@ using namespace pofl;
 /// The first step covers |F| in {0, 1} so the failure-free stratum is
 /// checked too.
 int measured_tolerance(const Graph& g, const ForwardingPattern& p, int probe_to,
-                       ConnectivityOracle& oracle, int num_threads) {
+                       int num_threads) {
   for (int f = 1; f <= probe_to; ++f) {
     VerifyOptions opts;
-    opts.oracle = &oracle;
     opts.num_threads = num_threads;
     if (g.num_edges() <= 21) {
       opts.max_exhaustive_edges = g.num_edges();
@@ -88,14 +84,13 @@ int main(int argc, char** argv) {
               "shortest-path");
   for (int n : {4, 5, 6, 7}) {
     const Graph g = make_complete(n);
-    ConnectivityOracle oracle(g);
     const auto arb = ArborescenceRoutingPattern::build(g, n - 1, 3);
     const auto sweep = make_chiesa_complete_pattern();
     const auto sp = make_shortest_path_pattern(RoutingModel::kDestinationOnly, g);
     const int probe = n;  // beyond k-1 by one
-    const int t_arb = arb ? measured_tolerance(g, *arb, probe, oracle, args.num_threads) : -1;
-    const int t_sweep = measured_tolerance(g, *sweep, probe, oracle, args.num_threads);
-    const int t_sp = measured_tolerance(g, *sp, probe, oracle, args.num_threads);
+    const int t_arb = arb ? measured_tolerance(g, *arb, probe, args.num_threads) : -1;
+    const int t_sweep = measured_tolerance(g, *sweep, probe, args.num_threads);
+    const int t_sp = measured_tolerance(g, *sp, probe, args.num_threads);
     std::printf("%4d %6d | %14d %14d %14d\n", n, n - 2, t_arb, t_sweep, t_sp);
     const std::string name = "K" + std::to_string(n);
     emit_row(name, n - 2, "arborescence", t_arb);
@@ -111,18 +106,15 @@ int main(int argc, char** argv) {
   std::printf("\n=== Same ablation on K_{4,4} (4-connected, target 3) ===\n");
   {
     const Graph g = make_complete_bipartite(4, 4);
-    ConnectivityOracle oracle(g);
     const auto arb = ArborescenceRoutingPattern::build(g, 4, 9);
     const auto relay = make_chiesa_bipartite_pattern(4, 4);
     const auto sp = make_shortest_path_pattern(RoutingModel::kDestinationOnly, g);
-    const int t_arb = arb ? measured_tolerance(g, *arb, 4, oracle, args.num_threads) : -1;
-    const int t_relay = measured_tolerance(g, *relay, 4, oracle, args.num_threads);
-    const int t_sp = measured_tolerance(g, *sp, 4, oracle, args.num_threads);
+    const int t_arb = arb ? measured_tolerance(g, *arb, 4, args.num_threads) : -1;
+    const int t_relay = measured_tolerance(g, *relay, 4, args.num_threads);
+    const int t_sp = measured_tolerance(g, *sp, 4, args.num_threads);
     std::printf("arborescence:   %d\n", t_arb);
     std::printf("bipartite-relay:%d\n", t_relay);
     std::printf("shortest-path:  %d\n", t_sp);
-    std::printf("oracle: %lld component BFS cached, %lld reused\n",
-                static_cast<long long>(oracle.misses()), static_cast<long long>(oracle.hits()));
     emit_row("K4,4", 3, "arborescence", t_arb);
     emit_row("K4,4", 3, "bipartite-relay", t_relay);
     emit_row("K4,4", 3, "shortest-path", t_sp);

@@ -1,24 +1,13 @@
 // P1 — engineering benchmarks for the primitives the reproduction leans on,
 // centered on packet-simulation throughput. Not a paper artifact.
 //
-// The headline section compares two implementations of the same sweeps:
-//
-//   * baseline — a frozen copy of the pre-fast-path simulator (per-packet
-//     StateIndex construction, per-hop IdSet allocations, linear in-port
-//     lookup) driven by the same scenario streams, single-threaded;
-//   * scalar   — the SweepEngine with group_routing off: the zero-allocation
-//     per-packet loop (route_packet_fast), single-threaded;
-//   * fast     — the SweepEngine on its default group-parallel path
-//     (route_groups_fast: 64-packet lockstep chunks, word-packed seen bits,
-//     memoized forwarding decisions), at 1 and N threads.
-//
-// The driver *asserts* that all four produce bit-identical SweepStats and
-// exits nonzero otherwise, so the speedup numbers can never come from
-// diverging semantics. The baseline arm pulls scenarios through the legacy
-// per-Scenario wrapper while the engine arms ride the zero-copy batches, so
-// the assertion also pins wrapper == batch-path semantics on every stream.
-// A separate source-only column drains each source into a ScenarioBatch
-// with no simulation at all, so scenario-production regressions show up in
+// The headline section measures the SweepEngine (route_groups_fast: 64-packet
+// lockstep chunks, word-packed seen bits, memoized forwarding decisions) on
+// four scenario streams, at 1 and N threads. The driver *asserts* that both
+// arms produce bit-identical SweepStats and exits nonzero otherwise, so the
+// multi-threaded number can never come from diverging semantics. A separate
+// source-only column drains each source into a ScenarioBatch with no
+// simulation at all, so scenario-production regressions show up in
 // isolation. `--json <path>` writes every number machine-readably
 // (BENCH_perf.json in CI); `--threads <n>` sets the multi-threaded arm.
 //
@@ -34,7 +23,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <memory>
@@ -60,126 +48,6 @@ namespace {
 
 using namespace pofl;
 using Clock = std::chrono::steady_clock;
-
-// ---- frozen pre-fast-path reference simulator ------------------------------
-// Verbatim behavior of the original route_packet: allocates a StateIndex and
-// a seen vector per packet, two IdSets per hop, and finds the in-port by
-// linear search. Kept here (not in the library) as the honest baseline.
-
-Header reference_masked(const Header& header, RoutingModel model) {
-  Header h = header;
-  switch (model) {
-    case RoutingModel::kSourceDestination:
-      break;
-    case RoutingModel::kDestinationOnly:
-      h.source = kNoVertex;
-      break;
-    case RoutingModel::kTouring:
-      h.source = kNoVertex;
-      h.destination = kNoVertex;
-      break;
-  }
-  return h;
-}
-
-class ReferenceStateIndex {
- public:
-  explicit ReferenceStateIndex(const Graph& g)
-      : offset_(static_cast<size_t>(g.num_vertices()) + 1) {
-    int running = 0;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      offset_[static_cast<size_t>(v)] = running;
-      running += g.degree(v) + 1;
-    }
-    offset_[static_cast<size_t>(g.num_vertices())] = running;
-  }
-
-  [[nodiscard]] int total() const { return offset_.back(); }
-
-  [[nodiscard]] int id(const Graph& g, VertexId v, EdgeId inport) const {
-    if (inport == kNoEdge) return offset_[static_cast<size_t>(v)];
-    const auto inc = g.incident_edges(v);
-    const auto it = std::find(inc.begin(), inc.end(), inport);
-    return offset_[static_cast<size_t>(v)] + 1 + static_cast<int>(it - inc.begin());
-  }
-
- private:
-  std::vector<int> offset_;
-};
-
-RoutingResult reference_route_packet(const Graph& g, const ForwardingPattern& pattern,
-                                     const IdSet& failures, VertexId source, Header header) {
-  const Header visible = reference_masked(header, pattern.model());
-  const VertexId destination = header.destination;
-
-  RoutingResult result;
-  result.walk.push_back(source);
-  if (source == destination) {
-    result.outcome = RoutingOutcome::kDelivered;
-    return result;
-  }
-
-  ReferenceStateIndex states(g);
-  std::vector<char> seen(static_cast<size_t>(states.total()), 0);
-
-  VertexId at = source;
-  EdgeId inport = kNoEdge;
-  while (true) {
-    const int sid = states.id(g, at, inport);
-    if (seen[static_cast<size_t>(sid)]) {
-      result.outcome = RoutingOutcome::kLooped;
-      return result;
-    }
-    seen[static_cast<size_t>(sid)] = 1;
-
-    const IdSet local = failures & g.incident_edge_set(at);
-    const auto out = pattern.forward(g, at, inport, local, visible);
-    if (!out.has_value()) {
-      result.outcome = RoutingOutcome::kDropped;
-      return result;
-    }
-    const EdgeId oe = *out;
-    const bool incident =
-        oe >= 0 && oe < g.num_edges() && (g.edge(oe).u == at || g.edge(oe).v == at);
-    if (!incident || failures.contains(oe)) {
-      result.outcome = RoutingOutcome::kInvalidForward;
-      return result;
-    }
-    at = g.other_endpoint(oe, at);
-    inport = oe;
-    ++result.hops;
-    result.walk.push_back(at);
-    if (at == destination) {
-      result.outcome = RoutingOutcome::kDelivered;
-      return result;
-    }
-  }
-}
-
-/// The pre-fast-path sweep loop: same promise discipline and tallies as the
-/// engine (compute_stretch off, no oracle), single-threaded, one allocating
-/// reference_route_packet call per promise-holding scenario.
-SweepStats run_reference_sweep(const Graph& g, const ForwardingPattern& pattern,
-                               ScenarioSource& source) {
-  SweepStats stats;
-  std::vector<Scenario> batch;
-  for (;;) {
-    batch.clear();
-    if (source.next_batch(256, batch) == 0) break;
-    for (const Scenario& sc : batch) {
-      ++stats.total;
-      if (!connected(g, sc.source, sc.destination, sc.failures)) {
-        ++stats.promise_broken;
-        continue;
-      }
-      stats.failures_seen += sc.failures.count();
-      const RoutingResult r = reference_route_packet(g, pattern, sc.failures, sc.source,
-                                                     Header{sc.source, sc.destination});
-      stats.tally_route(r.outcome, r.hops);
-    }
-  }
-  return stats;
-}
 
 // ---- measurement harness ---------------------------------------------------
 
@@ -273,8 +141,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: %s [--threads <n>] [--procs <n>] [--json <path>]\n"
                  "  --threads <n>  worker threads for the multi-threaded engine arm\n"
-                 "                 (default 4; the baseline/scalar/fast-1t arms always\n"
-                 "                 run single-threaded)\n"
+                 "                 (default 4; the other arm always runs single-threaded)\n"
                  "  --procs <n>    also measure multi-process shard scaling with n\n"
                  "                 forked workers (off unless given)\n"
                  "  --json <path>  write every reported number to <path> (the schema is\n"
@@ -350,23 +217,18 @@ int main(int argc, char** argv) {
   json.key("zoo_graph").value(zoo_pick->name);
   json.key("rows").begin_array();
 
-  std::printf("=== Packet-simulation throughput: baseline vs zero-allocation fast path ===\n");
+  std::printf("=== Packet-simulation throughput: SweepEngine at 1 vs N threads ===\n");
   std::printf("(zoo graph: %s, n=%d m=%d; fat-tree k=6: n=%d m=%d; mt arm uses %d threads)\n\n",
               zoo_pick->name.c_str(), zg.num_vertices(), zg.num_edges(), ft.num_vertices(),
               ft.num_edges(), mt_threads);
-  std::printf("%-16s %12s | %14s %14s %14s %14s %14s | %8s %8s %8s\n", "workload", "scenarios",
-              "source-only/s", "baseline/s", "scalar 1t/s", "fast 1t/s", "fast mt/s", "x 1t",
-              "x mt", "x grp");
+  std::printf("%-16s %12s | %14s %14s %14s | %8s\n", "workload", "scenarios", "source-only/s",
+              "fast 1t/s", "fast mt/s", "x mt");
 
   bool all_identical = true;
   for (const Workload& w : workloads) {
-    // The four arms are measured interleaved (A/B/C/D, three rounds) and
-    // each arm keeps its best round: symmetric best-of defuses the noise a
-    // shared box injects into a single long measurement.
-    SweepOptions optsS;
-    optsS.num_threads = 1;
-    optsS.group_routing = false;
-    const SweepEngine engineS(optsS);
+    // The two arms are measured interleaved (A/B, three rounds) and each arm
+    // keeps its best round: symmetric best-of defuses the noise a shared box
+    // injects into a single long measurement.
     SweepOptions opts1;
     opts1.num_threads = 1;
     const SweepEngine engine1(opts1);
@@ -374,16 +236,8 @@ int main(int argc, char** argv) {
     optsN.num_threads = mt_threads;
     const SweepEngine engineN(optsN);
 
-    Measured baseline, scalar1, fast1, fastN;
+    Measured fast1, fastN;
     for (int round = 0; round < 3; ++round) {
-      const Measured b = measure_sweep_once([&] {
-        w.source->reset();
-        return run_reference_sweep(*w.g, *w.pattern, *w.source);
-      });
-      const Measured s1 = measure_sweep_once([&] {
-        w.source->reset();
-        return engineS.run(*w.g, *w.pattern, *w.source);
-      });
       const Measured f1 = measure_sweep_once([&] {
         w.source->reset();
         return engine1.run(*w.g, *w.pattern, *w.source);
@@ -392,39 +246,26 @@ int main(int argc, char** argv) {
         w.source->reset();
         return engineN.run(*w.g, *w.pattern, *w.source);
       });
-      if (b.packets_per_sec > baseline.packets_per_sec) baseline = b;
-      if (s1.packets_per_sec > scalar1.packets_per_sec) scalar1 = s1;
       if (f1.packets_per_sec > fast1.packets_per_sec) fast1 = f1;
       if (fN.packets_per_sec > fastN.packets_per_sec) fastN = fN;
     }
 
     const double source_rate = measure_source_rate(*w.source);
 
-    const bool identical = stats_identical(baseline.stats, scalar1.stats) &&
-                           stats_identical(scalar1.stats, fast1.stats) &&
-                           stats_identical(fast1.stats, fastN.stats);
+    const bool identical = stats_identical(fast1.stats, fastN.stats);
     all_identical = all_identical && identical;
-    const double speedup1 = fast1.packets_per_sec / baseline.packets_per_sec;
-    const double speedupN = fastN.packets_per_sec / baseline.packets_per_sec;
-    const double group_speedup = fast1.packets_per_sec / scalar1.packets_per_sec;
 
-    std::printf("%-16s %12lld | %14.0f %14.0f %14.0f %14.0f %14.0f | %7.2fx %7.2fx %7.2fx%s\n",
-                w.name.c_str(), static_cast<long long>(baseline.stats.total), source_rate,
-                baseline.packets_per_sec, scalar1.packets_per_sec, fast1.packets_per_sec,
-                fastN.packets_per_sec, speedup1, speedupN, group_speedup,
+    std::printf("%-16s %12lld | %14.0f %14.0f %14.0f | %7.2fx%s\n", w.name.c_str(),
+                static_cast<long long>(fast1.stats.total), source_rate, fast1.packets_per_sec,
+                fastN.packets_per_sec, fastN.packets_per_sec / fast1.packets_per_sec,
                 identical ? "" : "  STATS MISMATCH");
 
     json.begin_object();
     json.key("name").value(w.name);
-    json.key("scenarios").value(baseline.stats.total);
+    json.key("scenarios").value(fast1.stats.total);
     json.key("source_packets_per_sec").value(source_rate);
-    json.key("baseline_packets_per_sec").value(baseline.packets_per_sec);
-    json.key("scalar_packets_per_sec_1t").value(scalar1.packets_per_sec);
     json.key("fast_packets_per_sec_1t").value(fast1.packets_per_sec);
     json.key("fast_packets_per_sec_mt").value(fastN.packets_per_sec);
-    json.key("speedup_1t").value(speedup1);
-    json.key("speedup_mt").value(speedupN);
-    json.key("group_speedup_1t").value(group_speedup);
     json.key("stats_identical").value(identical);
     json.key("stats");
     append_json(json, fast1.stats);
@@ -632,7 +473,7 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty() && !write_json_file(args.json_path, json.str())) return 1;
   if (!all_identical) {
     std::fprintf(stderr,
-                 "error: an arm diverged (fast-path SweepStats vs baseline, or "
+                 "error: an arm diverged (SweepStats at 1 vs N threads, or "
                  "branch-and-bound witness vs enumeration)\n");
     return 1;
   }

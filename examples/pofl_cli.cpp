@@ -38,14 +38,12 @@
 // of the scenario stream (for multi-host fan-out — ship the N shard JSONs
 // back and `merge` them), and `--procs N` is the single-host version: it
 // launches N shard workers under a ShardSupervisor (src/orchestrate),
-// merges their JSON, and reports the merged result. Sharded runs skip the
-// connectivity-oracle cache (its hit/miss accounting depends on the
-// partition; the rates and result counters do not), so any shard/proc/
-// thread split of one sweep serializes to the same bytes — but a plain
-// unsharded `sweep --json` records nonzero oracle counters and is
-// therefore NOT byte-comparable to a sharded/merged run. Record baselines
-// for distributed checking with --procs or --shard (the checked-in
-// tests/baselines/cli_zoo_procs.json is a --procs recording).
+// merges their JSON, and reports the merged result. Every counter is an
+// exact integer sum, so any shard/proc/thread split of one sweep — and the
+// plain unsharded run — serializes the report to the same bytes; only a
+// `--shard` run adds its provenance marker. (The checked-in
+// tests/baselines/cli_zoo_procs.json is a --procs recording that a plain
+// `sweep --json` reproduces.)
 //
 // Fault tolerance (--procs only): the supervisor monitors every worker
 // with a per-shard wall clock (`--shard-timeout <sec>`, SIGTERM then
@@ -85,7 +83,6 @@
 #include "classify/zoo.hpp"
 #include "graph/bitmask.hpp"
 #include "graph/connectivity.hpp"
-#include "graph/connectivity_oracle.hpp"
 #include "graph/graphml.hpp"
 #include "orchestrate/fault_inject.hpp"
 #include "orchestrate/posix_io.hpp"
@@ -391,11 +388,6 @@ void print_report(const SweepReport& report, bool per_pair) {
   std::printf("mean stretch:     %.3f (max %.3f over %lld deliveries)\n",
               stats.mean_stretch(), stats.max_stretch,
               static_cast<long long>(stats.stretch_samples));
-  if (stats.oracle_hits + stats.oracle_misses > 0) {
-    std::printf("oracle:           %lld BFS computed, %lld reused from cache\n",
-                static_cast<long long>(stats.oracle_misses),
-                static_cast<long long>(stats.oracle_hits));
-  }
   if (per_pair) {
     std::printf("%6s %6s %10s %10s %10s\n", "src", "dst", "scenarios", "held", "delivery");
     for (const PairStats& row : report.per_pair) {
@@ -613,9 +605,7 @@ int run_procs(const SweepConfig& cfg) {
 
   const std::vector<int> missing = result.missing();
   if (missing.empty()) {
-    std::printf("procs:            %d shard workers, merged bit-exactly (oracle-free: not "
-                "byte-comparable to a plain unsharded --json recording)\n",
-                cfg.procs);
+    std::printf("procs:            %d shard workers, merged bit-exactly\n", cfg.procs);
     cleanup();
     print_report(merged, cfg.per_pair);
     return emit_and_check(to_json(merged), cfg.json_path, cfg.check_path);
@@ -727,26 +717,17 @@ int cmd_sweep(const SweepConfig& cfg) {
     full_total = full.total_hint();
   }
 
-  ConnectivityOracle oracle(g);
   SweepOptions opts;
   opts.compute_stretch = true;
   opts.num_threads = cfg.num_threads;
-  // An explicit --shard run (even 0/1) is a shard worker: its report must
-  // merge bit-exactly with its siblings', so it carries the provenance
-  // marker and leaves the partition-dependent oracle accounting out.
-  if (!cfg.shard_set) {
-    // The shared connectivity cache only helps the full stream (duplicate
-    // draws land in one process), and its hit/miss accounting depends on
-    // the partition — a sharded run must serialize independently of it.
-    opts.oracle = &oracle;
-    // Recorded/replayed unsharded trajectories pin to one worker unless
-    // --threads says otherwise: concurrent oracle misses on the same
-    // failure set can double-count, and the recorded oracle counters must
-    // be reproducible. (Sharded runs carry no oracle, so every counter is
-    // thread-invariant and no pin is needed.)
-    if ((!cfg.json_path.empty() || !cfg.check_path.empty()) && !cfg.threads_set) {
-      opts.num_threads = 1;
-    }
+  // Recorded/replayed unsharded runs pin to one worker unless --threads says
+  // otherwise. The bytes are the same at any thread count; the pin holds
+  // peak memory down, since every extra worker carries its own per-pair
+  // table and routing workspace. (Shard workers are already one process of
+  // many, and keep the default.)
+  if (!cfg.shard_set && (!cfg.json_path.empty() || !cfg.check_path.empty()) &&
+      !cfg.threads_set) {
+    opts.num_threads = 1;
   }
   const SweepEngine engine(opts);
   SweepReport report;

@@ -4,18 +4,13 @@ namespace pofl {
 
 MinDefeatResult find_minimum_defeat(const Graph& g, const ForwardingPattern& pattern,
                                     VertexId source, VertexId destination, int max_budget,
-                                    ConnectivityOracle* oracle, const SearchOptions& options) {
-  SearchOptions opts = options;
-  if (oracle != nullptr) opts.oracle = oracle;
-  return min_defeat_search(g, pattern, source, destination, max_budget, opts);
+                                    const SearchOptions& options) {
+  return min_defeat_search(g, pattern, source, destination, max_budget, options);
 }
 
 MinDefeatResult find_minimum_defeat_any_pair(const Graph& g, const ForwardingPattern& pattern,
-                                             int max_budget, ConnectivityOracle* oracle,
-                                             const SearchOptions& options) {
-  SearchOptions opts = options;
-  if (oracle != nullptr) opts.oracle = oracle;
-  return min_defeat_search_any_pair(g, pattern, max_budget, opts);
+                                             int max_budget, const SearchOptions& options) {
+  return min_defeat_search_any_pair(g, pattern, max_budget, options);
 }
 
 MinDefeatResult find_minimum_touring_defeat(const Graph& g, const ForwardingPattern& pattern,

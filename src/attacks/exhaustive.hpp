@@ -15,7 +15,6 @@
 // kPerfectlyResilient is a proof that no defeating set of any size exists
 // (the old API returned an ambiguous nullopt for both of the latter).
 
-#include "graph/connectivity_oracle.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
@@ -34,21 +33,16 @@ struct Defeat {
 
 /// Smallest failure set F such that s,t stay connected in G\F but the packet
 /// is not delivered. Exact; graphs up to EdgeMask::kMaxBits edges are
-/// accepted (checked, throws). `max_budget` bounds |F|. An optional shared
-/// ConnectivityOracle caches the per-failure-set component labels — corpus
-/// drivers that attack many patterns on one graph re-test the same failure
-/// sets, so sharing one oracle across calls pays the BFS once.
+/// accepted (checked, throws). `max_budget` bounds |F|.
 [[nodiscard]] MinDefeatResult find_minimum_defeat(const Graph& g, const ForwardingPattern& pattern,
                                                   VertexId source, VertexId destination,
                                                   int max_budget,
-                                                  ConnectivityOracle* oracle = nullptr,
                                                   const SearchOptions& options = {});
 
 /// Smallest defeating failure set over all (s,t) pairs.
 [[nodiscard]] MinDefeatResult find_minimum_defeat_any_pair(const Graph& g,
                                                            const ForwardingPattern& pattern,
                                                            int max_budget,
-                                                           ConnectivityOracle* oracle = nullptr,
                                                            const SearchOptions& options = {});
 
 /// Touring version: smallest F such that some start's surviving component is

@@ -5,12 +5,22 @@
 // (Menger's theorem). Everything takes an optional failure set so the routing
 // layer can ask about the surviving graph without materializing copies.
 
+#include <functional>
 #include <optional>
 #include <vector>
 
 #include "graph/graph.hpp"
 
 namespace pofl {
+
+/// A promise predicate: does the guarantee still hold for (source,
+/// destination) under the failure set? Violations only count inside the
+/// promise. The paper's default promise is connected(g, source, destination,
+/// failures); custom predicates express its other quantifier families
+/// (r-tolerance, distance promises). Touring scenarios pass kNoVertex as the
+/// destination. Called concurrently by sweep workers, so it must be pure.
+using PromiseCheck = std::function<bool(const Graph&, VertexId source, VertexId destination,
+                                        const IdSet& failures)>;
 
 /// True iff u and v are connected in g with `failed` links removed.
 [[nodiscard]] bool connected(const Graph& g, VertexId u, VertexId v, const IdSet& failed);

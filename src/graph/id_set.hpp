@@ -13,9 +13,9 @@
 // shrinking re-assignment.
 //
 // The word-level accessors (num_words/word/assign_bits/for_each_and) are the
-// fast-path contract: batch producers blit decoded masks word by word, the
-// connectivity oracle hashes the words directly, and the group-parallel
-// routing core walks set intersections without materializing them.
+// fast-path contract: batch producers blit decoded masks word by word,
+// hash() folds the words directly, and the group-parallel routing core walks
+// set intersections without materializing them.
 
 #include <algorithm>
 #include <cassert>

@@ -411,7 +411,7 @@ struct FastTourResult {
 /// Allocation-free equivalent of connected(g, u, v, failures): BFS over the
 /// surviving graph on the workspace's epoch-stamped buffers, with early exit
 /// on reaching v. Same answer as the connectivity primitive; this is the
-/// sweep engine's default promise check when no oracle is attached.
+/// sweep engine's default promise check for singleton failure-set groups.
 [[nodiscard]] bool connected_fast(const SimContext& ctx, const IdSet& failures, VertexId u,
                                   VertexId v, RoutingWorkspace& ws);
 

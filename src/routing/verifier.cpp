@@ -15,11 +15,9 @@ namespace pofl {
 
 namespace {
 
-// The all-pairs finders get a private oracle when the caller supplies none:
-// the scenario stream is failure-set-major, so every pair after the first
-// reuses the cached component BFS. Capped well below the default so a
+// Entry cap of the distance-promise finder's per-call BFS cache, so a
 // pathological exhaustive call cannot balloon memory.
-constexpr size_t kLocalOracleEntries = size_t{1} << 16;
+constexpr size_t kDistanceCacheEntries = size_t{1} << 16;
 
 [[nodiscard]] bool use_exhaustive(const Graph& g, const VerifyOptions& opts) {
   // The hard cap is EdgeMask's word budget, not the old single-word 62-edge
@@ -45,20 +43,10 @@ constexpr size_t kLocalOracleEntries = size_t{1} << 16;
 [[nodiscard]] std::optional<Violation> run_find(const Graph& g, const ForwardingPattern& pattern,
                                                 const VerifyOptions& opts,
                                                 std::vector<std::pair<VertexId, VertexId>> pairs,
-                                                PromiseCheck promise, bool want_oracle) {
+                                                PromiseCheck promise) {
   SweepOptions sweep_opts;
   sweep_opts.num_threads = opts.num_threads;
   sweep_opts.promise = std::move(promise);
-  sweep_opts.oracle = opts.oracle;
-
-  // A private cache only pays off when several pairs share each failure set
-  // and the default connectivity promise is in force.
-  std::unique_ptr<ConnectivityOracle> local_oracle;
-  if (want_oracle && sweep_opts.oracle == nullptr && !sweep_opts.promise && pairs.size() > 1) {
-    local_oracle = std::make_unique<ConnectivityOracle>(g, kLocalOracleEntries);
-    sweep_opts.oracle = local_oracle.get();
-  }
-
   const auto source = make_verify_source(g, opts, std::move(pairs));
   const auto finding = SweepEngine(sweep_opts).find_first_violation(g, pattern, *source);
   if (!finding.has_value()) return std::nullopt;
@@ -83,7 +71,6 @@ constexpr size_t kLocalOracleEntries = size_t{1} << 16;
 [[nodiscard]] SearchOptions search_options_from(const VerifyOptions& opts) {
   SearchOptions search_opts;
   search_opts.strategy = opts.search;
-  search_opts.oracle = opts.oracle;
   return search_opts;
 }
 
@@ -98,7 +85,7 @@ std::optional<Violation> find_resilience_violation_for_pair(const Graph& g,
                                             opts.max_failures.value_or(g.num_edges()),
                                             search_options_from(opts)));
   }
-  return run_find(g, pattern, opts, {{source, destination}}, nullptr, /*want_oracle=*/true);
+  return run_find(g, pattern, opts, {{source, destination}}, nullptr);
 }
 
 std::optional<Violation> find_resilience_violation(const Graph& g,
@@ -108,7 +95,7 @@ std::optional<Violation> find_resilience_violation(const Graph& g,
     return violation_from(min_defeat_search_any_pair(
         g, pattern, opts.max_failures.value_or(g.num_edges()), search_options_from(opts)));
   }
-  return run_find(g, pattern, opts, all_ordered_pairs(g), nullptr, /*want_oracle=*/true);
+  return run_find(g, pattern, opts, all_ordered_pairs(g), nullptr);
 }
 
 std::optional<Violation> find_r_tolerance_violation(const Graph& g,
@@ -120,21 +107,19 @@ std::optional<Violation> find_r_tolerance_violation(const Graph& g,
   if (use_search(g, opts) && r >= 1) {
     SearchOptions search_opts = search_options_from(opts);
     search_opts.promise_r = r;
-    search_opts.oracle = nullptr;  // the component cache answers r = 1 only
     return violation_from(min_defeat_search(g, pattern, source, destination,
                                             opts.max_failures.value_or(g.num_edges()),
                                             search_opts));
   }
-  PromiseCheck promise = [r](const Graph& graph, const Scenario& sc) {
-    return edge_connectivity(graph, sc.source, sc.destination, sc.failures) >= r;
+  PromiseCheck promise = [r](const Graph& graph, VertexId s, VertexId t, const IdSet& failures) {
+    return edge_connectivity(graph, s, t, failures) >= r;
   };
-  return run_find(g, pattern, opts, {{source, destination}}, std::move(promise),
-                  /*want_oracle=*/false);
+  return run_find(g, pattern, opts, {{source, destination}}, std::move(promise));
 }
 
 std::optional<Violation> find_touring_violation(const Graph& g, const ForwardingPattern& pattern,
                                                 const VerifyOptions& opts) {
-  return run_find(g, pattern, opts, all_touring_starts(g), nullptr, /*want_oracle=*/false);
+  return run_find(g, pattern, opts, all_touring_starts(g), nullptr);
 }
 
 std::optional<Violation> find_distance_promise_violation(const Graph& g,
@@ -157,8 +142,9 @@ std::optional<Violation> find_distance_promise_violation(const Graph& g,
         map;
   };
   auto cache = std::make_shared<DistanceCache>();
-  PromiseCheck promise = [max_distance, cache](const Graph& graph, const Scenario& sc) {
-    const auto key = std::make_pair(sc.failures, sc.source);
+  PromiseCheck promise = [max_distance, cache](const Graph& graph, VertexId s, VertexId t,
+                                               const IdSet& failures) {
+    const auto key = std::make_pair(failures, s);
     std::shared_ptr<const std::vector<int>> dist;
     {
       const std::lock_guard<std::mutex> lock(cache->mu);
@@ -167,15 +153,14 @@ std::optional<Violation> find_distance_promise_violation(const Graph& g,
     }
     if (dist == nullptr) {
       dist = std::make_shared<const std::vector<int>>(
-          bfs_distances(graph, sc.source, sc.failures));
+          bfs_distances(graph, s, failures));
       const std::lock_guard<std::mutex> lock(cache->mu);
-      if (cache->map.size() < kLocalOracleEntries) cache->map.emplace(key, dist);
+      if (cache->map.size() < kDistanceCacheEntries) cache->map.emplace(key, dist);
     }
-    const int d = (*dist)[static_cast<size_t>(sc.destination)];
+    const int d = (*dist)[static_cast<size_t>(t)];
     return d >= 0 && d <= max_distance;
   };
-  return run_find(g, pattern, opts, all_ordered_pairs(g), std::move(promise),
-                  /*want_oracle=*/false);
+  return run_find(g, pattern, opts, all_ordered_pairs(g), std::move(promise));
 }
 
 std::optional<Violation> find_bounded_failure_violation(const Graph& g,

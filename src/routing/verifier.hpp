@@ -14,14 +14,12 @@
 // stratum, pairs innermost; or the sampled refutation stream) is drained by a
 // worker pool that stops as soon as the earliest violation in stream order is
 // pinned down. The reported violation is deterministic and identical for 1
-// and N worker threads. A shared ConnectivityOracle caches the per-failure-
-// set component labels across the pairs (and, when the caller passes one in,
-// across patterns and budgets too).
+// and N worker threads. Exhaustive-regime pair and all-pairs questions go to
+// search/min_defeat instead, which reports the same canonical witness.
 
 #include <cstdint>
 #include <optional>
 
-#include "graph/connectivity_oracle.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
@@ -43,10 +41,6 @@ struct VerifyOptions {
   std::optional<int> min_failures;
   /// Worker threads for the sweep; 0 = hardware concurrency, 1 = inline.
   int num_threads = 0;
-  /// Optional shared connectivity cache. When null, the all-pairs finders
-  /// create a private one per call (pairs under the same failure set share
-  /// its component BFS); pass one in to also share it across calls.
-  ConnectivityOracle* oracle = nullptr;
   /// How exhaustive-regime questions are answered: kAuto/kBranchAndBound
   /// route the pair, all-pairs and r-tolerance finders through
   /// search/min_defeat (same canonical witness, usually far fewer leaf

@@ -54,9 +54,8 @@ int lowest_id(const IdSet& s) {
 }
 
 /// Mutable state shared by one search call: simulation context/workspace,
-/// the promise evaluator (custom predicate > r-tolerance min-cut > shared
-/// oracle > rollback union-find, mirroring the legacy finders) and the
-/// telemetry counters.
+/// the promise evaluator (custom predicate > r-tolerance min-cut > rollback
+/// union-find, mirroring the legacy finders) and the telemetry counters.
 struct SearchCtx {
   const Graph& g;
   const ForwardingPattern& pattern;
@@ -73,13 +72,12 @@ struct SearchCtx {
 
   SearchCtx(const Graph& graph, const ForwardingPattern& p, const SearchOptions& o, int b)
       : g(graph), pattern(p), opts(o), budget(b), sim(graph) {
-    if (!opts.promise && opts.promise_r <= 1 && opts.oracle == nullptr) inc.emplace(graph);
+    if (!opts.promise && opts.promise_r <= 1) inc.emplace(graph);
   }
 
   bool promise_holds(VertexId s, VertexId t, const IdSet& f) {
     if (opts.promise) return opts.promise(g, s, t, f);
     if (opts.promise_r > 1) return edge_connectivity(g, s, t, f) >= opts.promise_r;
-    if (opts.oracle != nullptr) return opts.oracle->connected(s, t, f);
     inc->move_to(f);
     return inc->connected(s, t);
   }
@@ -358,26 +356,16 @@ void enumerate_pair_into(SearchCtx& c, VertexId s, VertexId t, int cap, MinDefea
 }
 
 /// Legacy any-pair stratum scan at one cardinality: first mask (Gosper
-/// order) defeating any ordered pair, pairs scanned s-major / t-minor with
-/// the oracle's component labels when available — the exact legacy loop.
+/// order) defeating any ordered pair, pairs scanned s-major / t-minor — the
+/// exact legacy loop.
 bool any_pair_stratum_scan(SearchCtx& c, int k, MinDefeatResult& out) {
   return for_each_k_subset(c.g.num_edges(), k, [&](const EdgeMask& mask) {
     const IdSet failures = edge_mask_to_set(c.g, mask);
     ++c.tel.leaves_verified;
-    std::shared_ptr<const std::vector<int>> cached;
-    if (c.opts.oracle != nullptr) {
-      cached = c.opts.oracle->components_of(failures);
-    } else {
-      c.inc->move_to(failures);
-    }
-    const auto same_component = [&](VertexId s, VertexId t) {
-      return cached != nullptr
-                 ? (*cached)[static_cast<size_t>(s)] == (*cached)[static_cast<size_t>(t)]
-                 : c.inc->connected(s, t);
-    };
+    c.inc->move_to(failures);
     for (VertexId s = 0; s < c.g.num_vertices(); ++s) {
       for (VertexId t = 0; t < c.g.num_vertices(); ++t) {
-        if (s == t || !same_component(s, t)) continue;
+        if (s == t || !c.inc->connected(s, t)) continue;
         if (route_packet_fast(c.sim, c.pattern, failures, s, Header{s, t}, c.ws).outcome !=
             RoutingOutcome::kDelivered) {
           out.status = MinDefeatStatus::kDefeated;

@@ -22,8 +22,8 @@
 //   * Seed incumbents from cheap upper bounds: greedy walk-cutting probes
 //     and defeats mined from the attacks/pattern_corpus patterns.
 //   * Verify candidate leaves exactly as the enumerator does —
-//     IncrementalConnectivity (or a shared ConnectivityOracle) for the
-//     promise, route_packet_fast for the delivery check.
+//     IncrementalConnectivity for the promise, route_packet_fast for the
+//     delivery check.
 //
 // The search is exact, and its witness is *bit-identical* to the
 // enumerator's: once branch and bound has proved the optimum cardinality k*,
@@ -39,11 +39,10 @@
 // minima). Every path reports telemetry through the existing JSON writer.
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
-#include "graph/connectivity_oracle.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
@@ -68,13 +67,6 @@ enum class MinDefeatStatus {
 
 [[nodiscard]] const char* to_string(MinDefeatStatus s);
 
-/// Custom promise predicate: "does the guarantee still hold under F?". A
-/// defeat is a failure set with the promise intact but delivery broken.
-/// Must be anti-monotone in F for branch and bound to be sound; arbitrary
-/// predicates therefore force the enumerate fallback.
-using MinDefeatPromise =
-    std::function<bool(const Graph&, VertexId source, VertexId destination, const IdSet&)>;
-
 struct SearchOptions {
   SearchStrategy strategy = SearchStrategy::kAuto;
   /// Promised edge tolerance: defeat requires edge_connectivity(G\F, s, t)
@@ -82,13 +74,12 @@ struct SearchOptions {
   /// Pair search only — the any-pair and touring searches keep their legacy
   /// defeat notions (same surviving component / no promise at all).
   int promise_r = 1;
-  /// Custom promise predicate (forces the enumerate fallback). Overrides
-  /// promise_r and `oracle` when set. Pair search only, like promise_r.
-  MinDefeatPromise promise;
-  /// Optional shared component-label cache for the r = 1 promise, exactly as
-  /// in the legacy finders (corpus drivers re-enumerate the same failure
-  /// sets across many patterns, so sharing one oracle pays the BFS once).
-  ConnectivityOracle* oracle = nullptr;
+  /// Custom promise predicate: a defeat is a failure set with the promise
+  /// intact but delivery broken. Branch and bound is only sound for
+  /// predicates anti-monotone in F, so a custom one forces the enumerate
+  /// fallback. Overrides promise_r when set. Pair search only, like
+  /// promise_r.
+  PromiseCheck promise;
   /// Extra candidate incumbents (failure IdSets over the graph's edges),
   /// e.g. from corpus_upper_bound_candidates. Each candidate is verified
   /// before adoption; wrong or oversized candidates are ignored. Seeding

@@ -244,13 +244,9 @@ bool SweepServer::register_graph(const std::string& name, Graph g, std::string& 
   entry->name = name;
   entry->graph = std::move(g);
   entry->hash = graph_content_hash(entry->graph);
-  entry->oracle = std::make_unique<ConnectivityOracle>(entry->graph);
   entry->pattern_sd =
       make_shortest_path_pattern(RoutingModel::kSourceDestination, entry->graph);
   entry->pattern_dest = make_shortest_path_pattern(RoutingModel::kDestinationOnly, entry->graph);
-  SweepOptions witness_opts;
-  witness_opts.oracle = entry->oracle.get();
-  entry->witness_engine = std::make_unique<SweepEngine>(witness_opts);
   graphs_.push_back(std::move(entry));
   return true;
 }
@@ -404,11 +400,9 @@ std::string SweepServer::handle_request(const std::string& line) {
     if (auto cached = cache_.lookup(key); cached.has_value()) {
       return envelope(true, key, "result", *cached);
     }
-    SearchOptions search_opts;
-    search_opts.oracle = entry->oracle.get();  // warm across requests
     const MinDefeatResult result =
         min_defeat_search(g, *pattern, static_cast<VertexId>(s), static_cast<VertexId>(t),
-                          static_cast<int>(budget), search_opts);
+                          static_cast<int>(budget));
     JsonWriter w;
     append_json(w, result, g);
     cache_.insert(key, w.str());
@@ -430,7 +424,7 @@ std::string SweepServer::handle_request(const std::string& line) {
     }
     auto source = make_source(spec, g, spec_error);
     if (source == nullptr) return fail(spec_error);
-    const auto finding = entry->witness_engine->find_first_violation(g, pattern, *source);
+    const auto finding = plain_engine_.find_first_violation(g, pattern, *source);
     JsonWriter w;
     w.begin_object();
     w.key("found");
@@ -498,9 +492,6 @@ std::string SweepServer::handle_request(const std::string& line) {
   auto source = make_source(spec, g, spec_error);
   if (source == nullptr) return fail(spec_error);
   if (shard_set) source->shard(shard_index, shard_count);
-  // Oracle-free on purpose: the oracle's hit/miss accounting depends on the
-  // request partition, and leaving it out is what makes daemon responses
-  // byte-comparable to shard merges and --procs recordings.
   const SweepEngine& engine = stretch ? stretch_engine_ : plain_engine_;
   const SweepReport report = engine.run_report(g, pattern, *source);
   const std::string body =

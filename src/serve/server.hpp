@@ -5,10 +5,9 @@
 // Every sweep the CLI runs pays the same startup tax — parse the GraphML,
 // rebuild the shortest-path pattern, re-warm the engine's per-worker
 // decision caches — and then throws all of it away. The daemon keeps those
-// hot: graphs, their forwarding patterns, a per-graph ConnectivityOracle,
-// the SweepEngines (whose pooled worker slots persist the routing decision
-// cache between runs), and a content-addressed LRU of finished report
-// serializations. Clients connect over TCP and speak line-delimited JSON —
+// hot: graphs, their forwarding patterns, the SweepEngines (whose pooled
+// worker slots persist the routing decision cache between runs), and a
+// content-addressed LRU of finished report serializations. Clients connect over TCP and speak line-delimited JSON —
 // one request object per line, one response object per line, parsed and
 // written by the PR 5 machinery in sim/sweep_json (no new dependencies).
 //
@@ -31,11 +30,9 @@
 // Determinism is what makes the cache sound: every query is a pure function
 // of (graph content, pattern spec, source spec, shard spec) — the exact
 // coordinates of the cache key, with the graph addressed by structural hash
-// — and daemon sweeps run oracle-free like shard workers do, so a cached
-// response, a cold daemon response, and a `pofl_cli sweep --procs` recording
-// of the same spec are all byte-identical. (The per-graph oracle still
-// serves witness/min-defeat queries, where it accelerates the promise check
-// without touching the serialized result.)
+// — and a report does not depend on how the stream was partitioned, so a
+// cached response, a cold daemon response, and a `pofl_cli sweep` recording
+// of the same spec (plain or --procs) are all byte-identical.
 //
 // Errors never kill the connection: a malformed line gets
 // {"ok":false,"error":...} and the session continues. The socket layer is
@@ -51,7 +48,6 @@
 #include <vector>
 
 #include "attacks/pattern_corpus.hpp"
-#include "graph/connectivity_oracle.hpp"
 #include "graph/graph.hpp"
 #include "serve/result_cache.hpp"
 #include "sim/sweep.hpp"
@@ -102,18 +98,15 @@ class SweepServer {
   [[nodiscard]] ResultCache::Stats cache_stats() const { return cache_.stats(); }
 
  private:
-  /// Everything the daemon keeps hot for one registered graph. The oracle
-  /// backs the witness engine's promise checks and the min-defeat search;
-  /// the patterns persist so the sweep engines' decision caches stay valid
-  /// across requests (a re-made pattern gets a new uid and a cold cache).
+  /// Everything the daemon keeps hot for one registered graph. The patterns
+  /// persist so the sweep engines' decision caches stay valid across
+  /// requests (a re-made pattern gets a new uid and a cold cache).
   struct GraphEntry {
     std::string name;
     Graph graph;
     std::string hash;
-    std::unique_ptr<ConnectivityOracle> oracle;
     std::unique_ptr<ForwardingPattern> pattern_sd;    // shortest-path, source-destination
     std::unique_ptr<ForwardingPattern> pattern_dest;  // shortest-path, destination-only
-    std::unique_ptr<SweepEngine> witness_engine;      // oracle-attached
   };
 
   [[nodiscard]] const GraphEntry* find_graph(const std::string& name) const;
@@ -124,7 +117,7 @@ class SweepServer {
 
   // Two resident engines shared by every sweep request: stretch on/off is a
   // per-engine option, and keeping both alive keeps both decision caches
-  // warm. Engines are thread-safe (pooled worker slots), so concurrent
+  // warm. Witness requests run on the plain engine. Engines are thread-safe (pooled worker slots), so concurrent
   // connections share them without serialization.
   SweepEngine stretch_engine_;
   SweepEngine plain_engine_;

@@ -7,7 +7,6 @@
 #include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/bitmask.hpp"
-#include "graph/connectivity_oracle.hpp"
 
 namespace pofl {
 
@@ -420,11 +419,8 @@ std::string AdversarialCorpusSource::name() const {
 void AdversarialCorpusSource::mine() {
   if (mined_) return;
   mined_ = true;
-  // Every corpus pattern re-enumerates the same failure sets; one oracle
-  // shared across the whole mining pass pays each component BFS once.
-  ConnectivityOracle oracle(*g_);
   for (const auto& pattern : make_pattern_corpus(model_, *g_, random_variants_, seed_)) {
-    const auto defeat = find_minimum_defeat_any_pair(*g_, *pattern, max_budget_, &oracle);
+    const auto defeat = find_minimum_defeat_any_pair(*g_, *pattern, max_budget_);
     if (!defeat.defeated()) continue;
     scenarios_.push_back(Scenario{defeat.failures, defeat.source, defeat.destination});
     defeated_.push_back(pattern->name());

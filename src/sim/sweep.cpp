@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <limits>
 #include <map>
 #include <memory>
@@ -28,9 +29,6 @@ void SweepStats::merge(const SweepStats& other) {
   stretch_samples += other.stretch_samples;
   stretch_sum_q32 = saturating_add(stretch_sum_q32, other.stretch_sum_q32);
   max_stretch = std::max(max_stretch, other.max_stretch);
-  oracle_hits += other.oracle_hits;
-  oracle_misses += other.oracle_misses;
-  oracle_evictions += other.oracle_evictions;
 }
 
 void SweepReport::merge(const SweepReport& other) {
@@ -61,116 +59,6 @@ void SweepReport::merge(const SweepReport& other) {
 
 namespace {
 
-/// Worker-local memo for the default connectivity promise. Scenario streams
-/// are failure-set-major (every pair is asked under F before the next F
-/// appears), so consecutive scenarios usually share their failure set, and
-/// consecutive *failure sets* usually differ only in a low-edge-id suffix
-/// (Gosper enumeration). The memo starts lazy — the first query per F is an
-/// early-exit BFS — and switches to the rollback union-find exactly while
-/// the previous F proved to repeat: a failure-set-major stream then pays an
-/// O(1)-amortized incremental move per Gosper step (in place of the full
-/// component labeling this memo used to rebuild per F), while a pair-major
-/// stream (where a repeat is a coincidence, e.g. two identical Monte Carlo
-/// draws) falls back to the cheaper single-query BFS on the very next F.
-/// All methods give the same boolean answer, so every sweep counter is
-/// identical whichever path runs; the structure is reused across the
-/// worker's whole run, so steady state stays allocation-free.
-struct PromiseMemo {
-  IdSet failures;
-  bool have_failures = false;
-  bool inc_synced = false;        // inc reflects `failures`
-  bool current_repeated = false;  // the memoized F received a second query
-  std::unique_ptr<IncrementalConnectivity> inc;  // lazy: Monte Carlo never builds it
-};
-
-/// Points memo.inc at G \ failures (building it on first use).
-void memo_sync_incremental(const Graph& g, const IdSet& failures, PromiseMemo& memo) {
-  if (memo.inc == nullptr) memo.inc = std::make_unique<IncrementalConnectivity>(g);
-  memo.inc->move_to(failures);
-  memo.inc_synced = true;
-}
-
-bool promise_connected(const SimContext& ctx, const IdSet& failures, VertexId source,
-                       VertexId destination, RoutingWorkspace& ws, PromiseMemo& memo) {
-  if (source == destination) return true;
-  if (memo.have_failures && memo.failures == failures) {
-    memo.current_repeated = true;
-    if (!memo.inc_synced) memo_sync_incremental(ctx.graph(), failures, memo);
-    return memo.inc->connected(source, destination);
-  }
-  const bool eager = memo.current_repeated;
-  memo.failures = failures;
-  memo.have_failures = true;
-  memo.inc_synced = false;
-  memo.current_repeated = false;
-  if (eager) {
-    memo_sync_incremental(ctx.graph(), failures, memo);
-    return memo.inc->connected(source, destination);
-  }
-  return connected_fast(ctx, failures, source, destination, ws);
-}
-
-/// Tallies one scenario into stats and reports whether it is a resilience
-/// violation (promise held, but not delivered / tour incomplete). The
-/// failure set is borrowed from the batch's group storage — nothing here
-/// copies it. Runs the zero-allocation simulator fast path against the
-/// per-run SimContext and the worker's RoutingWorkspace — callers that need
-/// a witness walk re-simulate the one scenario they care about.
-/// `promise_scratch` is a worker-reused Scenario, materialized only when a
-/// custom promise predicate needs the legacy (Graph, Scenario) signature.
-bool process_scenario(const SimContext& ctx, const ForwardingPattern& pattern,
-                      const IdSet& failures, VertexId source, VertexId destination,
-                      const SweepOptions& opts, SweepStats& stats, RoutingWorkspace& ws,
-                      PromiseMemo& memo, Scenario& promise_scratch) {
-  const Graph& g = ctx.graph();
-  ++stats.total;
-
-  const auto custom_promise_holds = [&]() {
-    promise_scratch.failures = failures;  // assignment reuses its storage
-    promise_scratch.source = source;
-    promise_scratch.destination = destination;
-    return opts.promise(g, promise_scratch);
-  };
-
-  if (destination == kNoVertex) {
-    // Touring: the promise holds unconditionally (§VII) unless a custom
-    // promise narrows it.
-    if (opts.promise && !custom_promise_holds()) {
-      ++stats.promise_broken;
-      return false;
-    }
-    stats.failures_seen += failures.count();
-    const FastTourResult r = tour_packet_fast(ctx, pattern, failures, source, ws);
-    stats.tally_tour(r.success, r.dropped, r.steps_walked);
-    return !r.success;
-  }
-
-  bool held;
-  if (opts.promise) {
-    held = custom_promise_holds();
-  } else if (opts.oracle != nullptr) {
-    held = opts.oracle->connected(source, destination, failures);
-  } else {
-    held = promise_connected(ctx, failures, source, destination, ws, memo);
-  }
-  if (!held) {
-    ++stats.promise_broken;
-    return false;
-  }
-
-  stats.failures_seen += failures.count();
-  const FastRouteResult r =
-      route_packet_fast(ctx, pattern, failures, source, Header{source, destination}, ws);
-  stats.tally_route(r.outcome, r.hops);
-  if (r.outcome == RoutingOutcome::kDelivered && opts.compute_stretch) {
-    // BFS only on delivery: undelivered and promise-broken scenarios never
-    // need the distance.
-    const auto dist = distance(g, source, destination, failures);
-    if (dist.has_value() && *dist >= 1) stats.tally_stretch(r.hops, *dist);
-  }
-  return r.outcome != RoutingOutcome::kDelivered;
-}
-
 /// Packs a (source, destination) pair into one map key; kNoVertex
 /// destinations (touring starts) pack like any other value.
 uint64_t pair_key(VertexId s, VertexId t) {
@@ -180,36 +68,35 @@ uint64_t pair_key(VertexId s, VertexId t) {
 
 /// Worker-reused buffers of the group-parallel consumption path: the routing
 /// request the promise filter admits (with per-packet dense group ordinals
-/// and per-ordinal borrowed failure sets), per-packet result/target columns
-/// (only populated when per-pair rows or stretch need per-packet outcomes),
-/// and the group promise's rollback union-find.
+/// and per-ordinal borrowed failure sets), per-packet result/target/index
+/// columns (only populated when per-pair rows, stretch or violation flags
+/// need per-packet outcomes), and the group promise's rollback union-find.
 struct GroupScratch {
   std::vector<VertexId> src;
   std::vector<VertexId> dst;
   std::vector<int32_t> ord;          // per packet: dense group ordinal
   std::vector<const IdSet*> fsets;   // per ordinal: that group's failure set
-  std::vector<SweepStats*> target;   // parallel to src/dst in per-pair mode
+  std::vector<SweepStats*> target;   // parallel to src/dst in per-packet mode
+  std::vector<int> index;            // per packet: scenario index in the batch
   std::vector<FastRouteResult> results;
-  std::unique_ptr<IncrementalConnectivity> inc;  // lazy, like PromiseMemo's
+  std::unique_ptr<IncrementalConnectivity> inc;  // lazy: Monte Carlo never builds it
 };
 
 /// Consumes one whole batch group-parallel: the scenarios are promise-
-/// filtered group by group in stream order, then every admitted packet of
-/// the batch is routed in a single route_groups_fast call (packets of
-/// different groups share lockstep chunks, so small groups still fill the
-/// 64-wide machinery). Counter-for-counter identical to process_scenario
-/// over the same scenarios: the promise booleans agree (oracle / union-find
-/// / BFS all answer exact connectivity, and the oracle is still consulted
-/// once per scenario so its hit/miss accounting is unchanged), and the group
-/// core's outcomes and hops are bit-identical to route_packet_fast. Touring
-/// scenarios inside a batch take the scalar tour core as before.
+/// filtered group by group in stream order, then every admitted packet of the
+/// batch is routed in a single route_groups_fast call (packets of different
+/// groups share lockstep chunks, so small groups still fill the 64-wide
+/// machinery). Touring scenarios take the scalar tour core inside the same
+/// loop. When `violations` is non-null, violations[i] is set for every
+/// scenario i of the batch: 1 iff its promise held and the packet was not
+/// delivered (or the tour did not complete).
 void process_batch_groups(const SimContext& ctx, const ForwardingPattern& pattern,
                           const ScenarioBatch& batch, int n, const SweepOptions& opts,
                           bool collect_per_pair, SweepStats& local,
                           std::unordered_map<uint64_t, SweepStats>& local_pairs,
-                          RoutingWorkspace& ws, PromiseMemo& memo, GroupScratch& scratch) {
+                          RoutingWorkspace& ws, GroupScratch& scratch, uint8_t* violations) {
   const Graph& g = ctx.graph();
-  const bool per_packet = collect_per_pair || opts.compute_stretch;
+  const bool per_packet = collect_per_pair || opts.compute_stretch || violations != nullptr;
   // Packing goes through raw pointers into worker-persistent arrays sized to
   // the batch (capacity sticks across batches, so the resizes are free in
   // steady state) — the admission loop runs per scenario and push_back's
@@ -219,15 +106,18 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     scratch.src.resize(un);
     scratch.dst.resize(un);
     scratch.ord.resize(un);
-    if (per_packet) scratch.target.resize(un);
-  } else if (per_packet && scratch.target.size() < un) {
-    scratch.target.resize(un);
   }
+  if (per_packet && scratch.target.size() < un) {
+    scratch.target.resize(un);
+    scratch.index.resize(un);
+  }
+  if (violations != nullptr) std::fill(violations, violations + n, uint8_t{0});
   scratch.fsets.clear();
   VertexId* const sp = scratch.src.data();
   VertexId* const dp = scratch.dst.data();
   int32_t* const op = scratch.ord.data();
   SweepStats** const tp = per_packet ? scratch.target.data() : nullptr;
+  int* const ip = per_packet ? scratch.index.data() : nullptr;
   int admitted = 0;
 
   for (int begin = 0; begin < n;) {
@@ -238,17 +128,15 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     const int fcount = failures.count();
     const int span = end - begin;
 
-    // Default-promise strategy: the oracle (when attached) answers per
-    // scenario, keeping its counters identical to the scalar path; a
-    // multi-scenario group moves the rollback union-find once and answers
-    // every pair with two finds; a singleton group (each Monte Carlo draw is
-    // its own group) keeps the lazy early-exit BFS — same split the scalar
-    // PromiseMemo converges to on those streams.
+    // The default promise for a multi-scenario group moves the rollback
+    // union-find once and answers every pair with two finds; a singleton
+    // group (each Monte Carlo draw is its own group) takes the early-exit
+    // BFS instead, which beats rebuilding the union-find for one query.
     bool inc_ready = false;
     const auto promise_holds = [&](VertexId s, VertexId t) {
-      if (s == t) return true;
-      if (opts.oracle != nullptr) return opts.oracle->connected(s, t, failures);
-      if (span == 1) return promise_connected(ctx, failures, s, t, ws, memo);
+      if (opts.promise) return opts.promise(g, s, t, failures);
+      if (s == t || t == kNoVertex) return true;
+      if (span == 1) return connected_fast(ctx, failures, s, t, ws);
       if (!inc_ready) {
         if (scratch.inc == nullptr) {
           scratch.inc = std::make_unique<IncrementalConnectivity>(g);
@@ -267,24 +155,25 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
     for (int i = begin; i < end; ++i) {
       const VertexId s = batch.source(i);
       const VertexId t = batch.destination(i);
-      if (t == kNoVertex) {
-        // Touring: the promise holds unconditionally (§VII). Rare enough in
-        // a routing-heavy stream that its tallies stay per scenario — except
-        // `total`, which the aggregate path adds group-wide below.
-        SweepStats& st = collect_per_pair ? local_pairs[pair_key(s, t)] : local;
-        if (collect_per_pair) ++st.total;
-        st.failures_seen += fcount;
-        const FastTourResult r = tour_packet_fast(ctx, pattern, failures, s, ws);
-        st.tally_tour(r.success, r.dropped, r.steps_walked);
-        ++toured;
-        continue;
-      }
       if (!promise_holds(s, t)) {
         if (collect_per_pair) {
           SweepStats& st = local_pairs[pair_key(s, t)];
           ++st.total;
           ++st.promise_broken;
         }
+        continue;
+      }
+      if (t == kNoVertex) {
+        // Touring (§VII). Rare enough in a routing-heavy stream that its
+        // tallies stay per scenario — except `total`, which the aggregate
+        // path adds group-wide below.
+        SweepStats& st = collect_per_pair ? local_pairs[pair_key(s, t)] : local;
+        if (collect_per_pair) ++st.total;
+        st.failures_seen += fcount;
+        const FastTourResult r = tour_packet_fast(ctx, pattern, failures, s, ws);
+        st.tally_tour(r.success, r.dropped, r.steps_walked);
+        if (violations != nullptr && !r.success) violations[i] = 1;
+        ++toured;
         continue;
       }
       if (ord < 0) {
@@ -303,6 +192,7 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
           st.failures_seen += fcount;
         }
         tp[admitted] = &st;
+        ip[admitted] = i;
       }
       ++admitted;
     }
@@ -335,14 +225,17 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
                           scratch.src.data(), scratch.dst.data(), admitted, ws,
                           scratch.results.data());
   for (int k = 0; k < admitted; ++k) {
-    SweepStats& st = *scratch.target[static_cast<size_t>(k)];
-    const FastRouteResult& r = scratch.results[static_cast<size_t>(k)];
+    const auto uk = static_cast<size_t>(k);
+    SweepStats& st = *scratch.target[uk];
+    const FastRouteResult& r = scratch.results[uk];
     st.tally_route(r.outcome, r.hops);
-    if (r.outcome == RoutingOutcome::kDelivered && opts.compute_stretch) {
-      const int32_t ord = scratch.ord[static_cast<size_t>(k)];
-      const IdSet& failures = *scratch.fsets[static_cast<size_t>(ord)];
-      const auto dist = distance(g, scratch.src[static_cast<size_t>(k)],
-                                 scratch.dst[static_cast<size_t>(k)], failures);
+    if (r.outcome != RoutingOutcome::kDelivered) {
+      if (violations != nullptr) violations[scratch.index[uk]] = 1;
+      continue;
+    }
+    if (opts.compute_stretch) {
+      const IdSet& failures = *scratch.fsets[static_cast<size_t>(scratch.ord[uk])];
+      const auto dist = distance(g, scratch.src[uk], scratch.dst[uk], failures);
       if (dist.has_value() && *dist >= 1) st.tally_stretch(r.hops, *dist);
     }
   }
@@ -381,15 +274,14 @@ void run_on_pool(int num_threads, const std::function<void()>& worker) {
 /// boundaries. What persists usefully is the RoutingWorkspace: its packed
 /// decision cache stays warm across repeated sweeps of the same (graph,
 /// pattern) — begin_session compares uids and only flushes on a change. The
-/// promise memos also persist their storage, but their graph-pointing
-/// internals (the union-finds) are dropped at checkout; see checkout_slot.
+/// group scratch also persists its storage, but its graph-pointing union-find
+/// is dropped at checkout; see checkout_slot.
 struct SweepEngine::WorkerSlot {
   RoutingWorkspace ws;
-  PromiseMemo memo;
-  Scenario promise_scratch;
   GroupScratch scratch;
   std::unordered_map<uint64_t, SweepStats> local_pairs;
   ScenarioBatch batch;
+  std::vector<uint8_t> violations;  // find_first_violation's per-batch flags
 };
 
 SweepEngine::SweepEngine(SweepOptions opts) : opts_(std::move(opts)) {}
@@ -406,16 +298,12 @@ std::unique_ptr<SweepEngine::WorkerSlot> SweepEngine::checkout_slot() const {
     }
   }
   if (slot == nullptr) slot = std::make_unique<WorkerSlot>();
-  // The promise union-finds hold a pointer to the graph they were built
-  // from, which this run's graph need not outlive-match even when the uids
-  // agree (a structurally identical copy shares the uid but not the
-  // address). Dropping them is cheap — they rebuild lazily, at most once per
-  // run. Everything else in the slot is either self-revalidating (the
-  // decision cache, via uids in begin_session) or plain reusable storage.
-  slot->memo.have_failures = false;
-  slot->memo.inc_synced = false;
-  slot->memo.current_repeated = false;
-  slot->memo.inc.reset();
+  // The promise union-find holds a pointer to the graph it was built from,
+  // which this run's graph need not outlive-match even when the uids agree
+  // (a structurally identical copy shares the uid but not the address).
+  // Dropping it is cheap — it rebuilds lazily, at most once per run.
+  // Everything else in the slot is either self-revalidating (the decision
+  // cache, via uids in begin_session) or plain reusable storage.
   slot->scratch.inc.reset();
   slot->local_pairs.clear();
   return slot;
@@ -441,10 +329,6 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   const int batch_size = std::max(1, opts_.batch_size);
   const int num_threads = resolve_threads(opts_.num_threads, source, batch_size);
 
-  const int64_t oracle_hits_before = opts_.oracle != nullptr ? opts_.oracle->hits() : 0;
-  const int64_t oracle_misses_before = opts_.oracle != nullptr ? opts_.oracle->misses() : 0;
-  const int64_t oracle_evictions_before = opts_.oracle != nullptr ? opts_.oracle->evictions() : 0;
-
   // One immutable context per run (per graph), one workspace per worker:
   // steady-state scenarios allocate nothing.
   const SimContext ctx(g);
@@ -453,11 +337,6 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   std::unordered_map<uint64_t, SweepStats> global_pairs;
   std::mutex source_mutex;
   std::mutex stats_mutex;
-
-  // The group-parallel path handles the default and oracle promises; a
-  // custom predicate must see scenarios one at a time, so it keeps the
-  // scalar loop (as does group_routing = false, the A/B toggle).
-  const bool use_groups = opts_.group_routing && !opts_.promise;
 
   auto worker = [&]() {
     std::unique_ptr<WorkerSlot> slot_owner = checkout_slot();
@@ -470,20 +349,8 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
         n = source.next_batch(batch_size, slot.batch);
       }
       if (n == 0) break;
-      if (use_groups) {
-        process_batch_groups(ctx, pattern, slot.batch, n, opts_, collect_per_pair, local,
-                             slot.local_pairs, slot.ws, slot.memo, slot.scratch);
-        continue;
-      }
-      for (int i = 0; i < n; ++i) {
-        SweepStats& target =
-            collect_per_pair
-                ? slot.local_pairs[pair_key(slot.batch.source(i), slot.batch.destination(i))]
-                : local;
-        process_scenario(ctx, pattern, slot.batch.failures(i), slot.batch.source(i),
-                         slot.batch.destination(i), opts_, target, slot.ws, slot.memo,
-                         slot.promise_scratch);
-      }
+      process_batch_groups(ctx, pattern, slot.batch, n, opts_, collect_per_pair, local,
+                           slot.local_pairs, slot.ws, slot.scratch, nullptr);
     }
     {
       const std::lock_guard<std::mutex> lock(stats_mutex);
@@ -502,12 +369,6 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   };
 
   run_on_pool(num_threads, worker);
-
-  if (opts_.oracle != nullptr) {
-    report.totals.oracle_hits = opts_.oracle->hits() - oracle_hits_before;
-    report.totals.oracle_misses = opts_.oracle->misses() - oracle_misses_before;
-    report.totals.oracle_evictions = opts_.oracle->evictions() - oracle_evictions_before;
-  }
 
   if (collect_per_pair) {
     std::map<std::pair<VertexId, VertexId>, SweepStats> sorted;
@@ -563,14 +424,14 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
         start = produced;
         produced += n;
       }
+      slot.violations.resize(static_cast<size_t>(n));
+      process_batch_groups(ctx, pattern, slot.batch, n, opts_, /*collect_per_pair=*/false,
+                           scratch, slot.local_pairs, slot.ws, slot.scratch,
+                           slot.violations.data());
       for (int i = 0; i < n; ++i) {
         const int64_t index = start + i;
         if (index >= best.load(std::memory_order_relaxed)) break;
-        if (!process_scenario(ctx, pattern, slot.batch.failures(i), slot.batch.source(i),
-                              slot.batch.destination(i), opts_, scratch, slot.ws, slot.memo,
-                              slot.promise_scratch)) {
-          continue;
-        }
+        if (slot.violations[static_cast<size_t>(i)] == 0) continue;
         const std::lock_guard<std::mutex> lock(best_mutex);
         if (index < best.load(std::memory_order_relaxed)) {
           best.store(index, std::memory_order_release);

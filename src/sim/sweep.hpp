@@ -16,27 +16,27 @@
 // per-scenario Scenario construction, no IdSet copies, no allocation in
 // steady state on either side of the producer/consumer boundary.
 //
-// On the default path, workers consume whole batches group-parallel: each
-// batch's scenarios are promise-filtered group by group, then every admitted
-// packet of the batch is routed in one route_groups_fast call — lockstep
-// chunks of up to 64 packets (packets of different failure-set groups share
-// a chunk, so 4-pair exhaustive groups and Monte Carlo singletons still fill
-// the word-packed machinery) whose seen/terminated state lives in 64-bit
-// words, with forwarding transitions memoized per (header class, state,
-// local failure mask) in the worker's workspace. Worker scratch persists
-// across runs in an engine-owned pool, so the decision cache stays warm for
-// repeated sweeps of the same (graph, pattern). Outcomes are bit-identical
-// to the scalar per-packet loop (the golden baselines pin this);
-// SweepOptions::group_routing toggles the path for A/B measurement, and
-// custom PromiseChecks fall back to the scalar loop.
+// Workers consume whole batches group-parallel: each batch's scenarios are
+// promise-filtered group by group, then every admitted packet of the batch
+// is routed in one route_groups_fast call — lockstep chunks of up to 64
+// packets (packets of different failure-set groups share a chunk, so 4-pair
+// exhaustive groups and Monte Carlo singletons still fill the word-packed
+// machinery) whose seen/terminated state lives in 64-bit words, with
+// forwarding transitions memoized per (header class, state, local failure
+// mask) in the worker's workspace. Worker scratch persists across runs in an
+// engine-owned pool, so the decision cache stays warm for repeated sweeps of
+// the same (graph, pattern). Outcomes and hop counts are bit-identical to
+// route_packet_fast one packet at a time (tests/group_route_test pins this).
 //
 // The promise discipline matches the paper: a scenario whose failure set
 // disconnects s from t breaks the promise and is tallied separately — rates
 // are always conditioned on the promise holding (touring scenarios hold
-// unconditionally, §VII). A custom promise predicate generalizes this to the
-// paper's other quantifier families (r-tolerance, distance promises), and a
-// shared ConnectivityOracle caches the default connectivity check across the
-// pairs and patterns that revisit the same failure set.
+// unconditionally, §VII). The default check runs once per scenario: an
+// early-exit BFS for a singleton group (each Monte Carlo draw), the rollback
+// union-find moved once per group for a shared failure set (exhaustive
+// strata). A custom PromiseCheck generalizes this to the paper's other
+// quantifier families (r-tolerance, distance promises) and is called once
+// per scenario in the same admission loop.
 //
 // Three entry points:
 //   run()                  aggregate tallies (the original mode);
@@ -48,14 +48,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
-#include "graph/connectivity_oracle.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
@@ -63,33 +62,16 @@
 
 namespace pofl {
 
-/// Decides whether a scenario is inside the promise (violations only count
-/// inside it). Called concurrently from workers: must be pure. When unset,
-/// the default promise is "s and t connected in G \ F" for routing scenarios
-/// and "always" for touring scenarios.
-using PromiseCheck = std::function<bool(const Graph&, const Scenario&)>;
-
 struct SweepOptions {
   /// Worker threads; 0 = hardware concurrency. 1 runs inline (no pool).
   int num_threads = 0;
   /// Scenarios handed to a worker per lock acquisition.
   int batch_size = 256;
-  /// Route each batch's admitted packets through the lockstep word-packed
-  /// core (route_groups_fast) instead of one packet at a time. Outcomes, hop
-  /// counts and every SweepStats counter are bit-identical to the scalar
-  /// path — the golden baselines pin this — so the toggle exists for A/B
-  /// benchmarking, not semantics. Ignored (scalar fallback) when a custom
-  /// PromiseCheck is installed: custom predicates see scenarios one at a
-  /// time in stream order.
-  bool group_routing = true;
   /// Also BFS the surviving graph on each delivery to accumulate stretch
   /// (hops / dist_{G\F}(s, t)). Costs one BFS per delivered scenario.
   bool compute_stretch = false;
-  /// Shared connectivity cache for the default promise check. Scenario
-  /// streams are failure-set-major, so one cached component BFS answers the
-  /// promise for every pair under that failure set. Not owned.
-  ConnectivityOracle* oracle = nullptr;
-  /// Custom promise predicate; overrides the default connectivity check.
+  /// Custom promise predicate; overrides the default check ("s and t
+  /// connected in G \ F" for routing scenarios, "always" for touring ones).
   PromiseCheck promise;
 };
 
@@ -127,15 +109,6 @@ struct SweepStats {
   int64_t stretch_sum_q32 = 0;
   /// Max over per-scenario stretch doubles; max is order-invariant as is.
   double max_stretch = 0.0;
-
-  // Connectivity-oracle accounting for this sweep (zero when no oracle is
-  // attached): hits are promise checks answered from the cache — i.e.
-  // disconnected scenarios skipped, and connected ones admitted, without
-  // repeating the BFS. Evictions count cached label vectors displaced by the
-  // oracle's second-chance policy once its capacity is reached.
-  int64_t oracle_hits = 0;
-  int64_t oracle_misses = 0;
-  int64_t oracle_evictions = 0;
 
   [[nodiscard]] int64_t promise_held() const { return total - promise_broken; }
   [[nodiscard]] double delivery_rate() const { return rate(delivered); }
@@ -177,8 +150,8 @@ struct SweepStats {
   void merge(const SweepStats& other);
 
   /// Tallies one promise-holding routing outcome (hops count only on
-  /// delivery). Shared by the engine, the legacy-loop cross-checks in the
-  /// tests, and the frozen bench baseline so the switch lives once.
+  /// delivery). Shared by the engine and the per-scenario reference in the
+  /// tests so the switch lives once.
   void tally_route(RoutingOutcome outcome, int hops) {
     switch (outcome) {
       case RoutingOutcome::kDelivered:
@@ -217,7 +190,7 @@ struct SweepStats {
 };
 
 /// One (source, destination) row of a per-pair breakdown. Touring scenarios
-/// key on (start, kNoVertex). The oracle counters stay in the totals only.
+/// key on (start, kNoVertex).
 struct PairStats {
   VertexId source = kNoVertex;
   VertexId destination = kNoVertex;
@@ -255,7 +228,7 @@ class SweepEngine {
   explicit SweepEngine(SweepOptions opts = {});
   ~SweepEngine();
   // The engine owns a pool of per-worker scratch states (workspaces, promise
-  // memos, decision caches) that persist across runs; pooling makes it
+  // union-finds, decision caches) that persist across runs; pooling makes it
   // non-copyable. Sharing one engine across threads is still fine — the pool
   // hands each concurrent worker its own slot.
   SweepEngine(const SweepEngine&) = delete;
@@ -294,7 +267,7 @@ class SweepEngine {
   [[nodiscard]] const SweepOptions& options() const { return opts_; }
 
  private:
-  // One worker's reusable scratch (workspace + promise memos + batch
+  // One worker's reusable scratch (workspace + promise union-find + batch
   // storage), checked out of the pool for the duration of a run and returned
   // afterwards. Persisting these across runs is what keeps the routing
   // decision cache warm between run() calls on the same (graph, pattern) —
@@ -304,9 +277,9 @@ class SweepEngine {
 
   [[nodiscard]] SweepReport run_impl(const Graph& g, const ForwardingPattern& pattern,
                                      ScenarioSource& source, bool collect_per_pair) const;
-  // Pops (or creates) a slot. Structures that point into the previous run's
-  // graph (the promise union-finds) are dropped — they rebuild lazily, once
-  // per run at most. The decision cache is kept: it holds no pointers, and
+  // Pops (or creates) a slot. The promise union-find points into the
+  // previous run's graph, so it is dropped — it rebuilds lazily, once per
+  // run at most. The decision cache is kept: it holds no pointers, and
   // begin_session revalidates it against the Graph/ForwardingPattern uids.
   [[nodiscard]] std::unique_ptr<WorkerSlot> checkout_slot() const;
   void checkin_slot(std::unique_ptr<WorkerSlot> slot) const;

@@ -226,9 +226,6 @@ void append_json(JsonWriter& w, const SweepStats& stats) {
   w.key("stretch_sum_q32").value(stats.stretch_sum_q32);
   w.key("stretch_sum").value(stats.stretch_sum());
   w.key("max_stretch").value(stats.max_stretch);
-  w.key("oracle_hits").value(stats.oracle_hits);
-  w.key("oracle_misses").value(stats.oracle_misses);
-  w.key("oracle_evictions").value(stats.oracle_evictions);
   w.key("delivery_rate").value(stats.delivery_rate());
   w.key("loop_rate").value(stats.loop_rate());
   w.key("drop_rate").value(stats.drop_rate());
@@ -308,6 +305,8 @@ std::string to_json_partial(const SweepReport& report, const IncompleteInfo& inc
 // A minimal recursive-descent JSON reader, just enough for the shard/merge
 // round-trip: objects, arrays, strings, numbers (kept as raw spellings so
 // integers parse exactly), true/false/null. No dependency, no surprises.
+// Nesting is capped at kMaxJsonDepth, so hostile input cannot run the
+// recursion off the end of the stack.
 
 namespace {
 
@@ -345,9 +344,14 @@ class JsonParser {
     if (pos_ >= s_.size()) return false;
     switch (s_[pos_]) {
       case '{':
-        return parse_object(out);
-      case '[':
-        return parse_array(out);
+      case '[': {
+        // A container one level too deep stops at its opening byte.
+        if (depth_ == kMaxJsonDepth) return false;
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return parse_string(out.text);
@@ -495,6 +499,7 @@ class JsonParser {
 
   const std::string& s_;
   size_t pos_ = 0;
+  int depth_ = 0;  // containers open at pos_
 };
 
 /// Sets *error (when requested) and always returns false — the one-line
@@ -525,9 +530,7 @@ bool stats_from_json(const JsonValue& obj, SweepStats& out, std::string* error) 
          counter("stretch_samples", out.stretch_samples) &&
          counter("stretch_sum_q32", out.stretch_sum_q32) &&
          (json_read_double(obj, "max_stretch", out.max_stretch) ||
-          fail_parse(error, "missing or invalid 'max_stretch'")) &&
-         counter("oracle_hits", out.oracle_hits) && counter("oracle_misses", out.oracle_misses) &&
-         counter("oracle_evictions", out.oracle_evictions);
+          fail_parse(error, "missing or invalid 'max_stretch'"));
 }
 
 /// Reads an array of small non-negative ints (the incomplete-block lists).

@@ -121,11 +121,16 @@ struct JsonValue {
   }
 };
 
+/// Deepest container nesting parse_json accepts. The deepest document the
+/// project writes (a daemon envelope around a per-pair report) is 5 levels.
+inline constexpr int kMaxJsonDepth = 64;
+
 /// Parses one complete JSON document (no trailing bytes allowed). On
 /// failure returns false and sets *stop_offset (when non-null) to the first
 /// byte the parser could not make sense of — a truncated input stops at its
-/// end. The same reader behind report_from_json, exposed for the serve
-/// protocol's request/response parsing.
+/// end, and nesting deeper than kMaxJsonDepth stops at the opening bracket
+/// of level kMaxJsonDepth + 1. The same reader behind report_from_json,
+/// exposed for the serve protocol's request/response parsing.
 [[nodiscard]] bool parse_json(const std::string& text, JsonValue& out,
                               size_t* stop_offset = nullptr);
 

@@ -12,7 +12,10 @@
 #      like `--procs 99999999999999999999` pass as LONG_MAX);
 #   4. wide-mask exhaustive shard/merge: the 108-link fat-tree (past the old
 #      64-edge wall) swept with `sweep ... exhaustive 1 --procs 2`, checked
-#      bit-for-bit against tests/baselines/cli_fattree_exhaustive.json.
+#      bit-for-bit against tests/baselines/cli_fattree_exhaustive.json;
+#   5. plain unsharded runs reproduce both sharded baselines: the zoo sweep
+#      at the default thread count and at `--threads 4`, and the fat-tree
+#      exhaustive sweep.
 #
 # Usage: cmake -DPOFL_CLI=<exe> -DBASELINE=<json> -DWIDE_BASELINE=<json>
 #              -DWORK_DIR=<dir> -P cli_shard_smoke.cmake
@@ -80,8 +83,8 @@ run_cli(FALSE sweep "${GRAPH}" exhaustive 99999999999999999999)
 run_cli(FALSE sweep "${GRAPH}" exhaustive 513)
 
 # 4. Wide-mask exhaustive shard/merge on the 108-link fat-tree: --procs 2
-# must merge bit-for-bit to the checked-in oracle-free baseline, and the
-# explicit two-worker spelling must agree with it.
+# must merge bit-for-bit to the checked-in baseline, and the explicit
+# two-worker spelling must agree with it.
 if(NOT EXISTS "${WIDE_GRAPH}")
   message(FATAL_ERROR "export-zoo did not produce ${WIDE_GRAPH}")
 endif()
@@ -90,6 +93,11 @@ run_cli(TRUE sweep "${WIDE_GRAPH}" exhaustive 1 --procs 2
 run_cli(TRUE sweep "${WIDE_GRAPH}" exhaustive 1 --shard 0/2 --json "${WORK_DIR}/w0.json")
 run_cli(TRUE sweep "${WIDE_GRAPH}" exhaustive 1 --shard 1/2 --json "${WORK_DIR}/w1.json")
 run_cli(TRUE merge "${WORK_DIR}/w0.json" "${WORK_DIR}/w1.json" --check "${WIDE_BASELINE}")
+
+# 5. An unsharded sweep records the same bytes as the sharded runs.
+run_cli(TRUE sweep "${GRAPH}" 0.05 20 --check "${BASELINE}")
+run_cli(TRUE sweep "${GRAPH}" 0.05 20 --threads 4 --check "${BASELINE}")
+run_cli(TRUE sweep "${WIDE_GRAPH}" exhaustive 1 --check "${WIDE_BASELINE}")
 
 file(REMOVE_RECURSE "${WORK_DIR}")
 message(STATUS "cli shard smoke OK")

@@ -1,14 +1,15 @@
 // Group-parallel routing conformance: the lockstep word-packed core
 // (route_group_fast / route_groups_fast) must be bit-identical — outcome and
 // hop count per packet, and every tally — to route_packet_fast, exhaustively
-// over the canonical benchmark workloads; and the SweepEngine's group path
-// must reproduce the scalar path's SweepReport exactly at 1 and N threads,
-// across repeated runs on one engine (warm pooled decision caches), with an
-// oracle attached, and for touring patterns.
+// over the canonical benchmark workloads; and the SweepEngine must reproduce
+// a per-scenario reference SweepReport exactly at 1 and N threads, across
+// repeated runs on one engine (warm pooled decision caches), under a custom
+// promise, and for touring patterns.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -17,7 +18,6 @@
 #include "graph/bitmask.hpp"
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
-#include "graph/connectivity_oracle.hpp"
 #include "resilience/algorithm1_k5.hpp"
 #include "routing/simulator.hpp"
 #include "sim/scenario.hpp"
@@ -27,11 +27,57 @@
 namespace pofl {
 namespace {
 
-SweepOptions threads(int n, bool group_routing = true) {
+SweepOptions threads(int n) {
   SweepOptions o;
   o.num_threads = n;
-  o.group_routing = group_routing;
   return o;
+}
+
+/// The engine's semantics one scenario at a time, in stream order: the
+/// promise by connected() (or `promise` when set; touring scenarios hold by
+/// default), routing by route_packet_fast, tours by tour_packet_fast and
+/// stretch by distance().
+SweepReport reference_report(const Graph& g, const ForwardingPattern& pattern,
+                             ScenarioSource& source, bool compute_stretch = false,
+                             const PromiseCheck& promise = nullptr) {
+  const SimContext ctx(g);
+  RoutingWorkspace ws;
+  ScenarioBatch batch;
+  std::map<std::pair<VertexId, VertexId>, SweepStats> rows;
+  source.reset();
+  while (const int n = source.next_batch(64, batch)) {
+    for (int i = 0; i < n; ++i) {
+      const VertexId s = batch.source(i);
+      const VertexId t = batch.destination(i);
+      const IdSet& failures = batch.failures(i);
+      SweepStats& st = rows[{s, t}];
+      ++st.total;
+      const bool held = promise ? promise(g, s, t, failures)
+                                : t == kNoVertex || connected(g, s, t, failures);
+      if (!held) {
+        ++st.promise_broken;
+        continue;
+      }
+      st.failures_seen += failures.count();
+      if (t == kNoVertex) {
+        const FastTourResult r = tour_packet_fast(ctx, pattern, failures, s, ws);
+        st.tally_tour(r.success, r.dropped, r.steps_walked);
+        continue;
+      }
+      const FastRouteResult r = route_packet_fast(ctx, pattern, failures, s, Header{s, t}, ws);
+      st.tally_route(r.outcome, r.hops);
+      if (compute_stretch && r.outcome == RoutingOutcome::kDelivered) {
+        const auto dist = distance(g, s, t, failures);
+        if (dist.has_value() && *dist >= 1) st.tally_stretch(r.hops, *dist);
+      }
+    }
+  }
+  SweepReport report;
+  for (const auto& [pair, stats] : rows) {
+    report.totals.merge(stats);
+    report.per_pair.push_back(PairStats{pair.first, pair.second, stats});
+  }
+  return report;
 }
 
 void expect_stats_equal(const SweepStats& a, const SweepStats& b, const char* what) {
@@ -231,14 +277,13 @@ TEST(SweepEngineGroupRouting, ReportMatchesScalarPathAcrossThreadCounts) {
   std::vector<std::pair<VertexId, VertexId>> pairs;
   for (VertexId s = 0; s < 4; ++s) pairs.emplace_back(s, 4);
 
-  auto report = [&](int n, bool group) {
-    ExhaustiveFailureSource src(k5, k5.num_edges(), pairs);
-    return SweepEngine(threads(n, group)).run_report(k5, *pattern, src);
-  };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "group 1t vs scalar 1t");
-  expect_reports_equal(report(4, true), scalar1, "group 4t vs scalar 1t");
-  expect_reports_equal(report(4, false), scalar1, "scalar 4t vs scalar 1t");
+  ExhaustiveFailureSource src(k5, k5.num_edges(), pairs);
+  const SweepReport reference = reference_report(k5, *pattern, src);
+  for (const int n : {1, 4}) {
+    src.reset();
+    expect_reports_equal(SweepEngine(threads(n)).run_report(k5, *pattern, src), reference,
+                         n == 1 ? "engine 1t vs reference" : "engine 4t vs reference");
+  }
 }
 
 TEST(SweepEngineGroupRouting, FatTreeStratumMatchesScalarPath) {
@@ -250,13 +295,13 @@ TEST(SweepEngineGroupRouting, FatTreeStratumMatchesScalarPath) {
       if (s != t) pairs.emplace_back(s, t);
     }
   }
-  auto report = [&](int n, bool group) {
-    ExhaustiveFailureSource src(ft, 1, pairs);
-    return SweepEngine(threads(n, group)).run_report(ft, *pattern, src);
-  };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "fat-tree group 1t");
-  expect_reports_equal(report(4, true), scalar1, "fat-tree group 4t");
+  ExhaustiveFailureSource src(ft, 1, pairs);
+  const SweepReport reference = reference_report(ft, *pattern, src);
+  for (const int n : {1, 4}) {
+    src.reset();
+    expect_reports_equal(SweepEngine(threads(n)).run_report(ft, *pattern, src), reference,
+                         n == 1 ? "fat-tree 1t" : "fat-tree 4t");
+  }
 }
 
 TEST(SweepEngineGroupRouting, RepeatedRunsOnOneEngineStayIdentical) {
@@ -264,7 +309,7 @@ TEST(SweepEngineGroupRouting, RepeatedRunsOnOneEngineStayIdentical) {
   // back out of the pool warm, and must not change a single counter.
   const Graph k33 = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  const SweepEngine engine(threads(2, true));
+  const SweepEngine engine(threads(2));
   auto once = [&] {
     ExhaustiveFailureSource src(k33, k33.num_edges(), all_ordered_pairs(k33));
     return engine.run_report(k33, *pattern, src);
@@ -287,58 +332,42 @@ TEST(SweepEngineGroupRouting, RepeatedRunsOnOneEngineStayIdentical) {
 TEST(SweepEngineGroupRouting, StretchTalliesMatchScalarPath) {
   const Graph k33 = make_complete_bipartite(3, 3);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  auto report = [&](bool group) {
-    ExhaustiveFailureSource src(k33, 2, all_ordered_pairs(k33));
-    SweepOptions o = threads(1, group);
-    o.compute_stretch = true;
-    return SweepEngine(o).run_report(k33, *pattern, src);
-  };
-  expect_reports_equal(report(true), report(false), "stretch group vs scalar");
+  ExhaustiveFailureSource src(k33, 2, all_ordered_pairs(k33));
+  const SweepReport reference = reference_report(k33, *pattern, src, /*compute_stretch=*/true);
+  SweepOptions o = threads(1);
+  o.compute_stretch = true;
+  src.reset();
+  expect_reports_equal(SweepEngine(o).run_report(k33, *pattern, src), reference,
+                       "stretch engine vs reference");
 }
 
-TEST(SweepEngineGroupRouting, OracleAttachedPathMatchesScalarCounters) {
-  const Graph k33 = make_complete_bipartite(3, 3);
-  const auto pattern = make_shortest_path_pattern(RoutingModel::kDestinationOnly, k33);
-  auto run_with_oracle = [&](bool group) {
-    ConnectivityOracle oracle(k33);
-    ExhaustiveFailureSource src(k33, k33.num_edges(), all_ordered_pairs(k33));
-    SweepOptions o = threads(1, group);
-    o.oracle = &oracle;
-    return SweepEngine(o).run(k33, *pattern, src);
-  };
-  const SweepStats group = run_with_oracle(true);
-  const SweepStats scalar = run_with_oracle(false);
-  expect_stats_equal(group, scalar, "oracle group vs scalar");
-  // Both paths consult the oracle once per scenario, so the hit/miss
-  // accounting agrees too (each run got its own fresh oracle).
-  EXPECT_EQ(group.oracle_hits, scalar.oracle_hits);
-  EXPECT_EQ(group.oracle_misses, scalar.oracle_misses);
-  EXPECT_GT(group.oracle_hits, 0);
-}
-
-TEST(SweepEngineGroupRouting, CustomPromiseFallsBackAndStaysCorrect) {
-  // A custom promise disables the group path (predicates see scenarios one
-  // at a time); the result must still match a scalar-path engine with the
-  // same predicate.
+TEST(SweepEngineGroupRouting, CustomPromiseMatchesReference) {
+  // A custom predicate runs once per scenario in the engine's admission
+  // loop; a promise narrower than connectivity (2-edge-connected pairs)
+  // must give the reference's report, per pair, at 1 and N threads.
   const Graph g = make_complete(5);
   const auto pattern = make_algorithm1_k5();
   std::vector<std::pair<VertexId, VertexId>> pairs;
   for (VertexId s = 0; s < 4; ++s) pairs.emplace_back(s, 4);
-  auto run = [&](bool group) {
-    ExhaustiveFailureSource src(g, 2, pairs);
-    SweepOptions o = threads(2, group);
-    o.promise = [](const Graph& gg, const Scenario& sc) {
-      return connected(gg, sc.source, sc.destination, sc.failures);
-    };
-    return SweepEngine(o).run(g, *pattern, src);
+  const PromiseCheck promise = [](const Graph& gg, VertexId s, VertexId t, const IdSet& f) {
+    return edge_connectivity(gg, s, t, f) >= 2;
   };
-  expect_stats_equal(run(true), run(false), "custom promise");
+  ExhaustiveFailureSource src(g, 3, pairs);
+  const SweepReport reference = reference_report(g, *pattern, src, false, promise);
+  EXPECT_GT(reference.totals.promise_broken, 0);
+  for (const int n : {1, 2}) {
+    SweepOptions o = threads(n);
+    o.promise = promise;
+    src.reset();
+    expect_reports_equal(SweepEngine(o).run_report(g, *pattern, src), reference,
+                         "custom promise");
+  }
 }
 
 TEST(SweepEngineGroupRouting, TouringScenariosMatchScalarPath) {
   // Touring scenarios never enter the packed router (tours are walks, not
   // (s, t) packets) but flow through the same group loop; the tallies must
-  // agree with the scalar path.
+  // agree with the reference, with and without a custom promise.
   class AroundPattern final : public ForwardingPattern {
    public:
     [[nodiscard]] RoutingModel model() const override { return RoutingModel::kTouring; }
@@ -357,13 +386,20 @@ TEST(SweepEngineGroupRouting, TouringScenariosMatchScalarPath) {
   AroundPattern pattern;
   std::vector<std::pair<VertexId, VertexId>> starts;
   for (VertexId v = 0; v < g.num_vertices(); ++v) starts.emplace_back(v, kNoVertex);
-  auto report = [&](int n, bool group) {
-    ExhaustiveFailureSource src(g, 2, starts);
-    return SweepEngine(threads(n, group)).run_report(g, pattern, src);
+  const PromiseCheck odd_starts = [](const Graph&, VertexId s, VertexId, const IdSet&) {
+    return s % 2 == 1;
   };
-  const SweepReport scalar1 = report(1, false);
-  expect_reports_equal(report(1, true), scalar1, "touring group 1t");
-  expect_reports_equal(report(4, true), scalar1, "touring group 4t");
+  ExhaustiveFailureSource src(g, 2, starts);
+  for (const PromiseCheck& promise : {PromiseCheck{}, odd_starts}) {
+    const SweepReport reference = reference_report(g, pattern, src, false, promise);
+    for (const int n : {1, 4}) {
+      SweepOptions o = threads(n);
+      o.promise = promise;
+      src.reset();
+      expect_reports_equal(SweepEngine(o).run_report(g, pattern, src), reference,
+                           promise ? "touring, custom promise" : "touring");
+    }
+  }
 }
 
 }  // namespace

@@ -84,8 +84,8 @@ endfunction()
 set(REQUEST "{\"cmd\":\"sweep\",\"graph\":\"synth-hubring-40-214\",\"mode\":\"iid\",\"p\":0.05,\"trials\":20,\"seed\":1}")
 
 # Cold query: computed now, byte-checked against the golden --procs
-# recording (daemon sweeps are oracle-free like shard workers, so the bytes
-# must agree exactly).
+# recording (a report does not depend on how the stream was partitioned, so
+# the bytes must agree exactly).
 run_cli(TRUE cold_out submit "${TARGET}" "${REQUEST}"
         --json "${WORK_DIR}/cold.json" --check "${BASELINE}")
 if(NOT cold_out MATCHES "\"cached\":false")

@@ -17,7 +17,9 @@
 //     report whose max_stretch is spelled 1e999 (strtod clamps to HUGE_VAL
 //     and signals only through errno) must be rejected, not round-tripped
 //     as infinity. Plus the parse -> append_json identity on a checked-in
-//     baseline, which the submit client's report extraction rides on.
+//     baseline, which the submit client's report extraction rides on, and
+//     the nesting cap that keeps a line of 100,000 '[' from overflowing the
+//     parser's stack.
 
 #include <gtest/gtest.h>
 
@@ -268,6 +270,27 @@ TEST(ServeErrors, MalformedRequestsGetJsonErrorsAndSessionSurvives) {
   EXPECT_EQ(server.handle_request("{\"cmd\":\"ping\"}"), "{\"ok\":true,\"pong\":true}");
 }
 
+TEST(ServeErrors, DeeplyNestedRequestIsRejectedAtTheDepthCap) {
+  // 100,000 '[' used to recurse the parser off the end of the stack. The
+  // error names the byte where the nesting passes kMaxJsonDepth.
+  SweepServer server(k33_opts());
+  register_k33(server);
+  const Envelope e = unpack(server.handle_request(std::string(100000, '[')), "report");
+  EXPECT_FALSE(e.ok);
+  EXPECT_NE(e.error.find("byte offset " + std::to_string(kMaxJsonDepth)), std::string::npos)
+      << e.error;
+  EXPECT_EQ(server.handle_request("{\"cmd\":\"ping\"}"), "{\"ok\":true,\"pong\":true}");
+
+  // Nesting up to the cap still parses.
+  const std::string deepest =
+      std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  JsonValue value;
+  EXPECT_TRUE(parse_json(deepest, value));
+  size_t stop = 0;
+  EXPECT_FALSE(parse_json("[" + deepest + "]", value, &stop));
+  EXPECT_EQ(stop, static_cast<size_t>(kMaxJsonDepth));
+}
+
 // ---- the TCP layer ---------------------------------------------------------
 
 int connect_loopback(int port) {
@@ -384,6 +407,14 @@ TEST(ServeJson, ReadDoubleRejectsErangeOverflow) {
   EXPECT_FALSE(report_from_json(torn, nullptr, &parse_error).has_value());
   EXPECT_NE(parse_error.find("max_stretch"), std::string::npos)
       << "diagnosis must name the offending field, got: " << parse_error;
+}
+
+TEST(ServeJson, ReportFromJsonRejectsDeepNesting) {
+  std::string parse_error;
+  EXPECT_FALSE(report_from_json(std::string(100000, '['), nullptr, &parse_error).has_value());
+  EXPECT_NE(parse_error.find("byte offset " + std::to_string(kMaxJsonDepth) + " of 100000"),
+            std::string::npos)
+      << parse_error;
 }
 
 TEST(ServeJson, ParseAppendRoundTripsBaselineBytes) {

@@ -451,7 +451,7 @@ TEST(ShardFirstViolation, PerfectPatternHasNoWitnessInAnyShard) {
 // ---- JSON round-trip -------------------------------------------------------
 
 TEST(ShardJson, ReportRoundTripsByteExactly) {
-  // A report with every field live: oracle-free stretch sweep on a cycle.
+  // A report with every field live: a stretch sweep on a cycle.
   const auto reports = stretch_shard_reports(2);
   for (const SweepReport& report : reports) {
     const std::string serialized = to_json(report);

@@ -297,6 +297,32 @@ TEST(SweepEngineEarlyExit, FindingIndexIsTheMinimalStreamPosition) {
   EXPECT_EQ(finding->routing.outcome, RoutingOutcome::kDropped);
 }
 
+TEST(SweepEngineEarlyExit, CustomPromiseDecidesWhichViolationComesFirst) {
+  // A custom promise (destination != 1) excludes the default promise's first
+  // violation and admits a disconnected scenario, which then comes first.
+  const Graph g = make_path(3);  // edges 0:(0-1), 1:(1-2)
+  IdSet cut = g.empty_edge_set();
+  cut.insert(1);
+  PanicTowardHigher panic;
+  FixedScenarioSource source({
+      Scenario{g.empty_edge_set(), 2, 1},  // dropped; outside the custom promise
+      Scenario{cut, 0, 2},                 // disconnected; dropped at 1
+      Scenario{g.empty_edge_set(), 2, 0},  // dropped
+  });
+  const auto by_default = SweepEngine(threads(2)).find_first_violation(g, panic, source);
+  ASSERT_TRUE(by_default.has_value());
+  EXPECT_EQ(by_default->index, 0);
+
+  SweepOptions opts = threads(2);
+  opts.promise = [](const Graph&, VertexId, VertexId t, const IdSet&) { return t != 1; };
+  source.reset();
+  const auto custom = SweepEngine(opts).find_first_violation(g, panic, source);
+  ASSERT_TRUE(custom.has_value());
+  EXPECT_EQ(custom->index, 1);
+  EXPECT_EQ(custom->scenario.failures, cut);
+  EXPECT_EQ(custom->routing.outcome, RoutingOutcome::kDropped);
+}
+
 TEST(SweepReportPerPair, RowsSumToTotalsAndMatchPlainRun) {
   const Graph g = make_cycle(6);
   const auto pattern = make_id_cyclic_pattern(RoutingModel::kDestinationOnly);
@@ -336,7 +362,7 @@ TEST(SweepEngineCustomPromise, PromisePredicateNarrowsTheScenarioSpace) {
   const auto pattern = make_id_cyclic_pattern(RoutingModel::kDestinationOnly);
   ExhaustiveFailureSource source(g, 1, all_ordered_pairs(g));
   SweepOptions opts = threads(2);
-  opts.promise = [](const Graph&, const Scenario&) { return false; };
+  opts.promise = [](const Graph&, VertexId, VertexId, const IdSet&) { return false; };
   const SweepStats stats = SweepEngine(opts).run(g, *pattern, source);
   EXPECT_EQ(stats.promise_broken, stats.total);
   EXPECT_EQ(stats.delivered, 0);

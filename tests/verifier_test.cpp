@@ -254,22 +254,6 @@ TEST(Verifier, SampledRefuterStillFindsPlantedViolations) {
   EXPECT_NE(violation->routing.outcome, RoutingOutcome::kDelivered);
 }
 
-TEST(Verifier, SharedOracleAcrossCallsKeepsVerdictsAndAccumulatesHits) {
-  const Graph g = make_complete(5);
-  ConnectivityOracle oracle(g);
-  const auto alg1 = make_algorithm1_k5();
-  VerifyOptions opts;
-  opts.max_exhaustive_edges = g.num_edges();
-  opts.oracle = &oracle;
-  EXPECT_FALSE(find_resilience_violation(g, *alg1, opts).has_value());
-  const int64_t misses_after_first = oracle.misses();
-  EXPECT_GT(misses_after_first, 0);
-  // Second verification on the same graph: all failure sets already cached.
-  EXPECT_FALSE(find_resilience_violation(g, *alg1, opts).has_value());
-  EXPECT_EQ(oracle.misses(), misses_after_first);
-  EXPECT_GT(oracle.hits(), 0);
-}
-
 TEST(Verifier, BoundedFailureVerdictMatchesBoundedSweep) {
   // C6 tolerates any single failure under shortest-path routing iff the
   // bounded verifier says so; cross-check against an exhaustive |F| <= 1
