@@ -55,7 +55,9 @@
 // `--checkpoint-dir <dir>` keeps the per-shard JSONs: because shard output
 // is bit-exact and content-complete, a completed shard file doubles as a
 // checkpoint, and a rerun with the same directory skips every shard whose
-// valid output already exists (crash/resume for long sweeps). The
+// valid output already exists (crash/resume for long sweeps). Its
+// checkpoint.meta guard records the graph's content hash (not its path),
+// the SweepSpec key and N, and refuses a rerun of any other sweep. The
 // POFL_FAULT env hook (src/orchestrate/fault_inject.hpp) injects
 // deterministic worker faults so every one of these paths is testable.
 
@@ -73,7 +75,6 @@
 #include <iterator>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -89,11 +90,12 @@
 #include "orchestrate/supervisor.hpp"
 #include "resilience/dest_via_touring.hpp"
 #include "routing/verifier.hpp"
+#include "serve/result_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
-#include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 #include "sim/sweep_json.hpp"
+#include "sim/sweep_spec.hpp"
 #include "synth/fat_tree.hpp"
 
 namespace {
@@ -107,8 +109,7 @@ int usage() {
                "       pofl_cli attack <file.graphml> <s> <t>\n"
                "       pofl_cli min-defeat <file.graphml> <pattern> <s,t> [--budget <k>] "
                "[--enumerate] [--json <path>] [--check <baseline.json>]\n"
-               "                (pattern: shortest-path | id-cyclic | bounce-shy | "
-               "random-cyclic:<seed> | random-stateless:<seed>)\n"
+               "                (pattern: %s)\n"
                "       pofl_cli export-zoo <directory>\n"
                "       pofl_cli sweep <file.graphml> <p> <trials> [--json <path>] "
                "[--per-pair] [--check <baseline.json>] [--threads <n>] "
@@ -125,7 +126,8 @@ int usage() {
                "       pofl_cli submit <host:port> <request-json> [--json <path>] "
                "[--check <baseline.json>]\n"
                "                send one request to a serve daemon; --json/--check apply "
-               "to the extracted report bytes\n");
+               "to the extracted report bytes\n",
+               kPatternNames);
   return 2;
 }
 
@@ -227,37 +229,6 @@ int cmd_attack(const std::string& path, VertexId s, VertexId t) {
 int emit_and_check(const std::string& serialized, const std::string& json_path,
                    const std::string& check_path);  // defined with the sweep machinery below
 
-/// Builds the named forwarding pattern for the min-defeat command. Specs match
-/// the corpus families: bare names for the deterministic patterns, a
-/// ":<seed>" suffix for the randomized ones.
-std::unique_ptr<ForwardingPattern> make_named_pattern(const std::string& spec, const Graph& g) {
-  constexpr RoutingModel kModel = RoutingModel::kSourceDestination;
-  if (spec == "shortest-path") return make_shortest_path_pattern(kModel, g);
-  if (spec == "id-cyclic") return make_id_cyclic_pattern(kModel);
-  if (spec == "bounce-shy") return make_bounce_shy_pattern(kModel, g);
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    long seed = 0;
-    if (!parse_long(spec.c_str() + colon + 1, seed) || seed < 0) {
-      std::fprintf(stderr, "error: pattern seed must be a non-negative integer in '%s'\n",
-                   spec.c_str());
-      return nullptr;
-    }
-    const std::string family = spec.substr(0, colon);
-    if (family == "random-cyclic") {
-      return make_random_cyclic_pattern(kModel, g, static_cast<uint64_t>(seed));
-    }
-    if (family == "random-stateless") {
-      return make_random_stateless_pattern(kModel, static_cast<uint64_t>(seed));
-    }
-  }
-  std::fprintf(stderr,
-               "error: unknown pattern '%s' (want shortest-path, id-cyclic, bounce-shy, "
-               "random-cyclic:<seed> or random-stateless:<seed>)\n",
-               spec.c_str());
-  return nullptr;
-}
-
 struct MinDefeatConfig {
   std::string graph_path;
   std::string pattern_spec;
@@ -285,7 +256,11 @@ int cmd_min_defeat(const MinDefeatConfig& cfg) {
     return 1;
   }
   const auto pattern = make_named_pattern(cfg.pattern_spec, g);
-  if (pattern == nullptr) return 2;
+  if (pattern == nullptr) {
+    std::fprintf(stderr, "error: unknown pattern '%s' (want %s)\n", cfg.pattern_spec.c_str(),
+                 kPatternNames);
+    return 2;
+  }
 
   SearchOptions opts;
   if (cfg.enumerate) opts.strategy = SearchStrategy::kEnumerate;
@@ -340,18 +315,13 @@ struct SweepConfig {
   std::string graph_path;
   const char* p_arg = nullptr;       // original spellings, passed through to
   const char* trials_arg = nullptr;  // shard workers verbatim
-  bool exhaustive = false;  // p_arg == "exhaustive": trials is max |F|
-  double p = 0.0;
-  int trials = 0;
+  SweepSpec spec;  // shard_set: an explicit --shard, a shard-worker run even at 0/1
   std::string json_path;
   std::string check_path;
   bool per_pair = false;
   int num_threads = 0;  // 0 = unset
   bool threads_set = false;
-  int shard_index = 0;
-  int shard_count = 1;
-  bool shard_set = false;  // explicit --shard: a shard-worker run, even 0/1
-  int procs = 0;           // 0 = no multi-process driver
+  int procs = 0;  // 0 = no multi-process driver
   // Supervision knobs (meaningful with --procs only; rejected otherwise).
   int retries = 2;             // extra attempts per failed shard
   int backoff_ms = 200;        // first-retry delay, doubling up to the cap
@@ -367,13 +337,6 @@ struct SweepConfig {
   /// Shard workers under a transport stream their JSON to stdout.
   [[nodiscard]] bool stream_stdout() const { return json_path == "-"; }
 };
-
-/// Serializes the report the way this run records it: shard runs carry
-/// their provenance marker, full runs (and merged results) are plain.
-std::string serialize_report(const SweepReport& report, const SweepConfig& cfg) {
-  if (cfg.shard_set) return to_json_shard(report, cfg.shard_index, cfg.shard_count);
-  return to_json(report);
-}
 
 void print_report(const SweepReport& report, bool per_pair) {
   const SweepStats& stats = report.totals;
@@ -439,7 +402,7 @@ std::string read_file(const std::string& path) {
 /// into `--checkpoint-dir` (kept, resumable) or a temp directory (removed)
 /// with stdout silenced; the supervisor monitors, retries and reaps; the
 /// parent parses, merges and reports as if it had run unsharded.
-int run_procs(const SweepConfig& cfg) {
+int run_procs(const SweepConfig& cfg, const Graph& g) {
   char exe_path[4096];
   const ssize_t exe_len = readlink("/proc/self/exe", exe_path, sizeof(exe_path) - 1);
   if (exe_len <= 0) {
@@ -449,9 +412,10 @@ int run_procs(const SweepConfig& cfg) {
   exe_path[exe_len] = '\0';
 
   // Where the shard outputs live. A checkpoint dir persists across runs —
-  // guard it with a meta record so a resume with different sweep
-  // parameters errors out instead of silently merging stale shard files
-  // from some other sweep.
+  // guard it with a meta record so a resume of a different sweep errors out
+  // instead of silently merging stale shard files. The record names the
+  // graph by content, as the daemon's cache key does: a graph file edited
+  // in place is a different sweep.
   const bool keep_dir = !cfg.checkpoint_dir.empty();
   std::string dir;
   if (keep_dir) {
@@ -464,8 +428,7 @@ int run_procs(const SweepConfig& cfg) {
     }
     dir = cfg.checkpoint_dir;
     const std::string meta_path = dir + "/checkpoint.meta";
-    const std::string meta = std::string("graph=") + cfg.graph_path + " p=" + cfg.p_arg +
-                             " trials=" + cfg.trials_arg +
+    const std::string meta = "graph=" + graph_content_hash(g) + " spec=" + cfg.spec.key() +
                              " procs=" + std::to_string(cfg.procs) + "\n";
     if (std::filesystem::exists(meta_path)) {
       if (read_file(meta_path) != meta) {
@@ -648,13 +611,13 @@ int cmd_sweep(const SweepConfig& cfg) {
   const auto net = load(cfg.graph_path);
   if (!net.has_value()) return 1;
   const Graph& g = net->graph;
-  if (!cfg.exhaustive && (cfg.p < 0.0 || cfg.p > 1.0 || cfg.trials <= 0)) {
-    std::fprintf(stderr, "error: need 0 <= p <= 1 and trials > 0\n");
-    return 1;
+  const SweepSpec& spec = cfg.spec;
+  if (std::string error; !spec.validate(g, error)) {
+    std::fprintf(stderr, "error: %s\n", error.c_str());
+    return 2;
   }
 
-  const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, g);
-  const auto pairs = all_ordered_pairs(g);
+  const auto pattern = make_shortest_path_pattern(spec.model, g);
 
   // `--json -` workers own stdout for their report stream: every human line
   // is suppressed (errors keep stderr), and a broken pipe on the far end
@@ -666,43 +629,26 @@ int cmd_sweep(const SweepConfig& cfg) {
     std::printf("pattern:          %s\n", pattern->name().c_str());
   }
 
-  // Both modes produce a ScenarioSource; everything downstream (sharding,
-  // merging, baselines) is mode-agnostic. The exhaustive constructor
-  // enforces the EdgeMask capacity limit — surface its message as a normal
-  // CLI error instead of an uncaught exception.
-  std::unique_ptr<ScenarioSource> source;
-  try {
-    if (cfg.exhaustive) {
-      source = std::make_unique<ExhaustiveFailureSource>(g, cfg.trials, pairs);
-    } else {
-      source = std::make_unique<RandomFailureSource>(
-          RandomFailureSource::iid(g, cfg.p, cfg.trials, /*seed=*/1, pairs));
-    }
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  const SweepSource sweep = spec.make_source(g);
+  if (!stream && !spec.shard_set && spec.exhaustive) {
+    std::printf("scenarios:        %lld (%zu pairs x |F|<=%lld exhaustive)\n",
+                static_cast<long long>(sweep.full_total), sweep.pair_count,
+                static_cast<long long>(spec.k));
+  } else if (!stream && !spec.shard_set) {
+    std::printf("scenarios:        %lld (%zu pairs x %lld trials, p=%.3f)\n",
+                static_cast<long long>(sweep.full_total), sweep.pair_count,
+                static_cast<long long>(spec.trials), spec.p);
   }
-
-  if (cfg.procs > 0) {
-    if (cfg.exhaustive) {
-      std::printf("scenarios:        %lld (%zu pairs x |F|<=%d exhaustive)\n",
-                  static_cast<long long>(source->total_hint()), pairs.size(), cfg.trials);
-    } else {
-      std::printf("scenarios:        %lld (%zu pairs x %d trials, p=%.3f)\n",
-                  static_cast<long long>(pairs.size()) * cfg.trials, pairs.size(), cfg.trials,
-                  cfg.p);
-    }
-    return run_procs(cfg);
-  }
+  if (cfg.procs > 0) return run_procs(cfg, g);
 
   // The POFL_FAULT test hook fires in shard workers only: a malformed spec
   // is a hard error (a typo'd injection must not silently no-op), and the
   // armed modes crash/hang/exit here — "mid-run", after argument and graph
   // validation, before any output exists.
   FaultInjector fault;
-  if (cfg.shard_set) {
+  if (spec.shard_set) {
     bool fault_ok = true;
-    fault = FaultInjector::from_env(cfg.shard_index, fault_ok);
+    fault = FaultInjector::from_env(spec.shard_index, fault_ok);
     if (!fault_ok) {
       std::fprintf(stderr, "error: malformed POFL_FAULT spec '%s'\n", std::getenv("POFL_FAULT"));
       return 2;
@@ -710,31 +656,24 @@ int cmd_sweep(const SweepConfig& cfg) {
     fault.before_sweep();
   }
 
-  source->shard(cfg.shard_index, cfg.shard_count);
-  int64_t full_total = static_cast<int64_t>(pairs.size()) * cfg.trials;
-  if (cfg.exhaustive) {
-    ExhaustiveFailureSource full(g, cfg.trials, pairs);
-    full_total = full.total_hint();
-  }
-
   SweepOptions opts;
-  opts.compute_stretch = true;
+  opts.compute_stretch = spec.stretch;
   opts.num_threads = cfg.num_threads;
   // Recorded/replayed unsharded runs pin to one worker unless --threads says
   // otherwise. The bytes are the same at any thread count; the pin holds
   // peak memory down, since every extra worker carries its own per-pair
   // table and routing workspace. (Shard workers are already one process of
   // many, and keep the default.)
-  if (!cfg.shard_set && (!cfg.json_path.empty() || !cfg.check_path.empty()) &&
+  if (!spec.shard_set && (!cfg.json_path.empty() || !cfg.check_path.empty()) &&
       !cfg.threads_set) {
     opts.num_threads = 1;
   }
   const SweepEngine engine(opts);
   SweepReport report;
   if (cfg.per_pair || !cfg.json_path.empty() || !cfg.check_path.empty()) {
-    report = engine.run_report(g, *pattern, *source);
+    report = engine.run_report(g, *pattern, *sweep.source);
   } else {
-    report.totals = engine.run(g, *pattern, *source);
+    report.totals = engine.run(g, *pattern, *sweep.source);
   }
 
   if (stream) {
@@ -742,8 +681,8 @@ int cmd_sweep(const SweepConfig& cfg) {
     // the trailing newline) goes to stdout, nothing else does. Corrupt-mode
     // fault injection still needs a file to tear, so the bytes take a
     // round-trip through a temp file the injector can truncate.
-    std::string body = serialize_report(report, cfg) + "\n";
-    if (cfg.shard_set) {
+    std::string body = spec.serialize(report) + "\n";
+    if (spec.shard_set) {
       std::string tmpl =
           (std::filesystem::temp_directory_path() / "pofl_stream_XXXXXX").string();
       const int tfd = mkstemp(tmpl.data());
@@ -763,22 +702,16 @@ int cmd_sweep(const SweepConfig& cfg) {
     }
     return 0;
   }
-  if (cfg.shard_set) {
-    std::printf("shard:            %d/%d (%lld of %lld scenarios)\n", cfg.shard_index,
-                cfg.shard_count, static_cast<long long>(report.totals.total),
-                static_cast<long long>(full_total));
-  } else if (cfg.exhaustive) {
-    std::printf("scenarios:        %lld (%zu pairs x |F|<=%d exhaustive)\n",
-                static_cast<long long>(report.totals.total), pairs.size(), cfg.trials);
-  } else {
-    std::printf("scenarios:        %lld (%zu pairs x %d trials, p=%.3f)\n",
-                static_cast<long long>(report.totals.total), pairs.size(), cfg.trials, cfg.p);
+  if (spec.shard_set) {
+    std::printf("shard:            %d/%d (%lld of %lld scenarios)\n", spec.shard_index,
+                spec.shard_count, static_cast<long long>(report.totals.total),
+                static_cast<long long>(sweep.full_total));
   }
   print_report(report, cfg.per_pair);
-  const int rc = emit_and_check(serialize_report(report, cfg), cfg.json_path, cfg.check_path);
+  const int rc = emit_and_check(spec.serialize(report), cfg.json_path, cfg.check_path);
   // Corrupt-mode injection: a clean exit with a torn output file — the
   // failure only shard-output validation can catch.
-  if (cfg.shard_set) fault.after_write(cfg.json_path);
+  if (spec.shard_set) fault.after_write(cfg.json_path);
   return rc;
 }
 
@@ -1132,29 +1065,15 @@ int main(int argc, char** argv) {
     cfg.graph_path = argv[2];
     cfg.p_arg = argv[3];
     cfg.trials_arg = argv[4];
-    cfg.exhaustive = std::strcmp(argv[3], "exhaustive") == 0;
-    long trials = 0;
-    if (cfg.exhaustive) {
-      // trials is the failure budget: every |F| <= k is enumerated, so the
-      // cap is the EdgeMask word limit, not the Monte Carlo trial cap.
-      if (!parse_long(argv[4], trials) || trials < 0 || trials > 512) {
-        std::fprintf(stderr, "error: exhaustive needs a max |F| in [0, 512], got %s\n",
-                     argv[4]);
-        return 2;
-      }
-    } else {
-      if (!parse_double(argv[3], cfg.p) || !parse_long(argv[4], trials)) {
-        std::fprintf(stderr, "error: p and trials must be numeric\n");
-        return 2;
-      }
-      if (trials < 1 || trials > 1'000'000'000) {
-        // Range-check the long before the int cast: 2^32+1 must be an error,
-        // not a silent 1-trial sweep.
-        std::fprintf(stderr, "error: trials must be in [1, 1e9], got %s\n", argv[4]);
-        return 2;
-      }
+    // `<p> <trials>` or `exhaustive <k>`, range-checked once the graph is loaded.
+    SweepSpec& spec = cfg.spec;
+    spec.exhaustive = std::strcmp(argv[3], "exhaustive") == 0;
+    long count = 0;
+    if ((!spec.exhaustive && !parse_double(argv[3], spec.p)) || !parse_long(argv[4], count)) {
+      std::fprintf(stderr, "error: p and trials (or exhaustive and k) must be numeric\n");
+      return 2;
     }
-    cfg.trials = static_cast<int>(trials);
+    (spec.exhaustive ? spec.k : spec.trials) = count;
     const char* supervision_flag = nullptr;  // last --procs-only flag seen
     for (int i = 5; i < argc; ++i) {
       if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
@@ -1175,12 +1094,12 @@ int main(int argc, char** argv) {
         cfg.num_threads = static_cast<int>(threads);
         cfg.threads_set = true;
       } else if (std::strcmp(argv[i], "--shard") == 0 && i + 1 < argc) {
-        if (!parse_shard_spec(argv[++i], cfg.shard_index, cfg.shard_count)) {
+        if (!parse_shard_spec(argv[++i], spec.shard_index, spec.shard_count)) {
           std::fprintf(stderr, "error: --shard needs i/N with 0 <= i < N, got '%s'\n",
                        argv[i]);
           return 2;
         }
-        cfg.shard_set = true;
+        spec.shard_set = true;
       } else if (std::strcmp(argv[i], "--procs") == 0 && i + 1 < argc) {
         long procs = 0;
         if (!parse_long(argv[++i], procs) || procs < 1 || procs > 1024) {
@@ -1240,7 +1159,7 @@ int main(int argc, char** argv) {
         return usage();
       }
     }
-    if (cfg.procs > 0 && cfg.shard_set) {
+    if (cfg.procs > 0 && spec.shard_set) {
       std::fprintf(stderr, "error: --procs and --shard are mutually exclusive\n");
       return 2;
     }

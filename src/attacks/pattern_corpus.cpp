@@ -1,6 +1,8 @@
 #include "attacks/pattern_corpus.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <random>
 
 #include "graph/connectivity.hpp"
@@ -251,6 +253,28 @@ std::vector<std::unique_ptr<ForwardingPattern>> make_pattern_corpus(RoutingModel
     corpus.push_back(make_random_stateless_pattern(model, rng()));
   }
   return corpus;
+}
+
+std::unique_ptr<ForwardingPattern> make_named_pattern(const std::string& name, const Graph& g,
+                                                      std::string* canonical) {
+  constexpr RoutingModel model = RoutingModel::kSourceDestination;
+  if (canonical != nullptr) *canonical = name;
+  if (name == "shortest-path") return make_shortest_path_pattern(model, g);
+  if (name == "id-cyclic") return make_id_cyclic_pattern(model);
+  if (name == "bounce-shy") return make_bounce_shy_pattern(model, g);
+  const auto colon = name.find(':');
+  const std::string family = name.substr(0, colon);
+  if (colon == std::string::npos || (family != "random-cyclic" && family != "random-stateless")) {
+    return nullptr;
+  }
+  const char* seed_text = name.c_str() + colon + 1;
+  char* end = nullptr;
+  errno = 0;
+  const long seed = std::strtol(seed_text, &end, 10);
+  if (end == seed_text || *end != '\0' || errno == ERANGE || seed < 0) return nullptr;
+  if (canonical != nullptr) *canonical = family + ":" + std::to_string(seed);
+  return family == "random-cyclic" ? make_random_cyclic_pattern(model, g, seed)
+                                   : make_random_stateless_pattern(model, seed);
 }
 
 }  // namespace pofl

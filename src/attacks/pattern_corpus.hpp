@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "routing/forwarding.hpp"
@@ -47,5 +48,16 @@ namespace pofl {
 /// randomized ones).
 [[nodiscard]] std::vector<std::unique_ptr<ForwardingPattern>> make_pattern_corpus(
     RoutingModel model, const Graph& g, int random_variants = 3, uint64_t seed = 1);
+
+/// The names make_named_pattern accepts, for error and usage text.
+inline constexpr char kPatternNames[] =
+    "shortest-path, id-cyclic, bounce-shy, random-cyclic:<seed> or random-stateless:<seed>";
+
+/// One source-destination pattern by name (a seed is a non-negative
+/// integer), or nullptr for a name not in kPatternNames. `canonical`, when
+/// given, receives the name with the seed in plain decimal:
+/// "random-cyclic:+05" -> "random-cyclic:5".
+[[nodiscard]] std::unique_ptr<ForwardingPattern> make_named_pattern(
+    const std::string& name, const Graph& g, std::string* canonical = nullptr);
 
 }  // namespace pofl

@@ -6,19 +6,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "graph/bitmask.hpp"
 #include "graph/graphml.hpp"
 #include "orchestrate/posix_io.hpp"
 #include "search/min_defeat.hpp"
-#include "sim/scenario.hpp"
 #include "sim/sweep_json.hpp"
+#include "sim/sweep_spec.hpp"
 
 namespace pofl {
 
@@ -54,173 +52,11 @@ std::string envelope(bool cached, const std::string& key, const std::string& bod
   return out;
 }
 
-/// Canonical spelling of a request double for the cache key (two requests
-/// spelling the same value differently must share an entry).
-std::string canon_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool read_bool_field(const JsonValue& obj, const std::string& key, bool& out) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kBool) return false;
-  out = v->boolean;
-  return true;
-}
-
 bool read_string_field(const JsonValue& obj, const std::string& key, std::string& out) {
   const JsonValue* v = obj.find(key);
   if (v == nullptr || v->kind != JsonValue::Kind::kString) return false;
   out = v->text;
   return true;
-}
-
-/// The scenario spec shared by sweep and witness requests, decoded and
-/// validated once. `key_part` is its canonical cache-key spelling.
-struct SourceSpec {
-  bool exhaustive = false;
-  double p = 0.0;
-  int trials = 0;
-  int64_t seed = 1;
-  int k = 0;
-  RoutingModel model = RoutingModel::kSourceDestination;
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  std::string key_part;
-};
-
-bool decode_source_spec(const JsonValue& req, const Graph& g, SourceSpec& spec,
-                        std::string& error) {
-  std::string mode;
-  if (!read_string_field(req, "mode", mode) || (mode != "iid" && mode != "exhaustive")) {
-    error = "need \"mode\":\"iid\" or \"mode\":\"exhaustive\"";
-    return false;
-  }
-  spec.exhaustive = mode == "exhaustive";
-  if (spec.exhaustive) {
-    int64_t k = 0;
-    if (!json_read_int(req, "k", k) || k < 0 || k > EdgeMask::kMaxBits) {
-      error = "exhaustive mode needs \"k\" in [0, " + std::to_string(EdgeMask::kMaxBits) + "]";
-      return false;
-    }
-    spec.k = static_cast<int>(k);
-  } else {
-    int64_t trials = 0;
-    if (!json_read_double(req, "p", spec.p) || spec.p < 0.0 || spec.p > 1.0) {
-      error = "iid mode needs \"p\" in [0, 1]";
-      return false;
-    }
-    if (!json_read_int(req, "trials", trials) || trials < 1 || trials > 1'000'000'000) {
-      error = "iid mode needs \"trials\" in [1, 1e9]";
-      return false;
-    }
-    spec.trials = static_cast<int>(trials);
-    if (req.find("seed") != nullptr &&
-        (!json_read_int(req, "seed", spec.seed) || spec.seed < 0)) {
-      error = "\"seed\" must be a non-negative integer";
-      return false;
-    }
-  }
-
-  std::string model = "sd";
-  if (req.find("model") != nullptr && !read_string_field(req, "model", model)) {
-    error = "\"model\" must be a string";
-    return false;
-  }
-  if (model == "sd") {
-    spec.model = RoutingModel::kSourceDestination;
-  } else if (model == "dest") {
-    spec.model = RoutingModel::kDestinationOnly;
-  } else {
-    error = "unknown model '" + model + "' (want \"sd\" or \"dest\")";
-    return false;
-  }
-
-  std::string pairs_key = "all";
-  if (const JsonValue* pairs = req.find("pairs"); pairs != nullptr) {
-    if (pairs->kind != JsonValue::Kind::kArray || pairs->items.empty()) {
-      error = "\"pairs\" must be a non-empty array of [s,t] pairs";
-      return false;
-    }
-    pairs_key.clear();
-    for (const JsonValue& item : pairs->items) {
-      int64_t s = 0;
-      int64_t t = 0;
-      if (item.kind != JsonValue::Kind::kArray || item.items.size() != 2 ||
-          item.items[0].kind != JsonValue::Kind::kNumber ||
-          item.items[1].kind != JsonValue::Kind::kNumber) {
-        error = "each pair must be a two-element [s,t] array";
-        return false;
-      }
-      // Route the elements through the object reader for its errno/trailing
-      // checks: wrap them in a throwaway object.
-      JsonValue wrap;
-      wrap.kind = JsonValue::Kind::kObject;
-      wrap.fields.emplace_back("s", item.items[0]);
-      wrap.fields.emplace_back("t", item.items[1]);
-      if (!json_read_int(wrap, "s", s) || !json_read_int(wrap, "t", t) || s < 0 || t < 0 ||
-          s >= g.num_vertices() || t >= g.num_vertices() || s == t) {
-        error = "pair out of range for a " + std::to_string(g.num_vertices()) +
-                "-vertex graph (need 0 <= s,t < n, s != t)";
-        return false;
-      }
-      if (!pairs_key.empty()) pairs_key += ";";
-      pairs_key += std::to_string(s) + "," + std::to_string(t);
-      spec.pairs.emplace_back(static_cast<VertexId>(s), static_cast<VertexId>(t));
-    }
-  } else {
-    spec.pairs = all_ordered_pairs(g);
-  }
-
-  spec.key_part = "model=" + model + "|pattern=shortest-path|";
-  if (spec.exhaustive) {
-    spec.key_part += "exhaustive|k=" + std::to_string(spec.k);
-  } else {
-    spec.key_part += "iid|p=" + canon_double(spec.p) + "|trials=" + std::to_string(spec.trials) +
-                     "|seed=" + std::to_string(spec.seed);
-  }
-  spec.key_part += "|pairs=" + pairs_key;
-  return true;
-}
-
-std::unique_ptr<ScenarioSource> make_source(const SourceSpec& spec, const Graph& g,
-                                            std::string& error) {
-  try {
-    if (spec.exhaustive) {
-      return std::make_unique<ExhaustiveFailureSource>(g, spec.k, spec.pairs);
-    }
-    return std::make_unique<RandomFailureSource>(RandomFailureSource::iid(
-        g, spec.p, spec.trials, static_cast<uint64_t>(spec.seed), spec.pairs));
-  } catch (const std::invalid_argument& e) {
-    error = e.what();
-    return nullptr;
-  }
-}
-
-/// The named-pattern factory for min-defeat requests — the same spec
-/// language as `pofl_cli min-defeat`.
-std::unique_ptr<ForwardingPattern> make_pattern_for_spec(const std::string& spec,
-                                                         const Graph& g) {
-  constexpr RoutingModel kModel = RoutingModel::kSourceDestination;
-  if (spec == "shortest-path") return make_shortest_path_pattern(kModel, g);
-  if (spec == "id-cyclic") return make_id_cyclic_pattern(kModel);
-  if (spec == "bounce-shy") return make_bounce_shy_pattern(kModel, g);
-  const auto colon = spec.find(':');
-  if (colon != std::string::npos) {
-    const std::string seed_text = spec.substr(colon + 1);
-    char* end = nullptr;
-    errno = 0;
-    const long seed = std::strtol(seed_text.c_str(), &end, 10);
-    if (end == seed_text.c_str() || *end != '\0' || errno == ERANGE || seed < 0) return nullptr;
-    const std::string family = spec.substr(0, colon);
-    if (family == "random-cyclic") {
-      return make_random_cyclic_pattern(kModel, g, static_cast<uint64_t>(seed));
-    }
-    if (family == "random-stateless") {
-      return make_random_stateless_pattern(kModel, static_cast<uint64_t>(seed));
-    }
-  }
-  return nullptr;
 }
 
 }  // namespace
@@ -366,6 +202,12 @@ std::string SweepServer::handle_request(const std::string& line) {
   const Graph& g = entry->graph;
 
   if (cmd == "min-defeat") {
+    for (const auto& [name, value] : req.fields) {
+      if (name != "cmd" && name != "graph" && name != "pattern" && name != "source" &&
+          name != "destination" && name != "budget") {
+        return fail("\"" + name + "\" is not a key of min-defeat requests");
+      }
+    }
     std::string pattern_spec = "shortest-path";
     if (req.find("pattern") != nullptr && !read_string_field(req, "pattern", pattern_spec)) {
       return fail("\"pattern\" must be a string");
@@ -387,14 +229,13 @@ std::string SweepServer::handle_request(const std::string& line) {
                   " links, above the exact-search limit of " +
                   std::to_string(EdgeMask::kMaxBits));
     }
-    const auto pattern = make_pattern_for_spec(pattern_spec, g);
+    std::string canonical;
+    const auto pattern = make_named_pattern(pattern_spec, g, &canonical);
     if (pattern == nullptr) {
-      return fail("unknown pattern '" + pattern_spec +
-                  "' (want shortest-path, id-cyclic, bounce-shy, random-cyclic:<seed> or "
-                  "random-stateless:<seed>)");
+      return fail("unknown pattern '" + pattern_spec + "' (want " + kPatternNames + ")");
     }
 
-    const std::string key = "min-defeat|" + entry->hash + "|pattern=" + pattern_spec +
+    const std::string key = "min-defeat|" + entry->hash + "|pattern=" + canonical +
                             "|s=" + std::to_string(s) + "|t=" + std::to_string(t) +
                             "|budget=" + std::to_string(budget);
     if (auto cached = cache_.lookup(key); cached.has_value()) {
@@ -409,95 +250,48 @@ std::string SweepServer::handle_request(const std::string& line) {
     return envelope(false, key, "result", w.str());
   }
 
-  // sweep / witness share the scenario-spec decoding.
-  SourceSpec spec;
+  // sweep / witness share the spec decoding.
+  const bool witness = cmd == "witness";
+  SweepSpec spec;
   std::string spec_error;
-  if (!decode_source_spec(req, g, spec, spec_error)) return fail(spec_error);
+  if (!decode_sweep_spec(req, g, witness, spec, spec_error)) return fail(spec_error);
   const ForwardingPattern& pattern = spec.model == RoutingModel::kSourceDestination
                                          ? *entry->pattern_sd
                                          : *entry->pattern_dest;
 
-  if (cmd == "witness") {
-    const std::string key = "witness|" + entry->hash + "|" + spec.key_part;
-    if (auto cached = cache_.lookup(key); cached.has_value()) {
-      return envelope(true, key, "witness", *cached);
-    }
-    auto source = make_source(spec, g, spec_error);
-    if (source == nullptr) return fail(spec_error);
-    const auto finding = plain_engine_.find_first_violation(g, pattern, *source);
+  // A witness depends on the scenario stream alone, not on stretch or shard.
+  const std::string key = witness ? "witness|" + entry->hash + "|" + spec.scenario_key()
+                                   : "sweep|" + entry->hash + "|" + spec.key();
+  const std::string body_key = witness ? "witness" : "report";
+  if (auto cached = cache_.lookup(key); cached.has_value()) {
+    return envelope(true, key, body_key, *cached);
+  }
+  const SweepSource stream = spec.make_source(g);
+  std::string body;
+  if (witness) {
+    const auto finding = plain_engine_.find_first_violation(g, pattern, *stream.source);
     JsonWriter w;
-    w.begin_object();
-    w.key("found");
-    w.value(finding.has_value());
+    w.begin_object().key("found").value(finding.has_value());
     if (finding.has_value()) {
-      w.key("index");
-      w.value(finding->index);
-      w.key("source");
-      w.value(finding->scenario.source);
-      w.key("destination");
-      if (finding->scenario.destination == kNoVertex) {
+      const Scenario& at = finding->scenario;
+      w.key("index").value(finding->index).key("source").value(at.source).key("destination");
+      if (at.destination == kNoVertex) {
         w.null();
       } else {
-        w.value(finding->scenario.destination);
+        w.value(at.destination);
       }
-      w.key("failures");
-      w.begin_array();
-      for (const int e : finding->scenario.failures.to_vector()) w.value(e);
-      w.end_array();
-      w.key("outcome");
-      w.value(to_string(finding->routing.outcome));
-      w.key("hops");
-      w.value(finding->routing.hops);
+      w.key("failures").begin_array();
+      for (const int e : at.failures.to_vector()) w.value(e);
+      w.end_array().key("outcome").value(to_string(finding->routing.outcome));
+      w.key("hops").value(finding->routing.hops);
     }
-    w.end_object();
-    cache_.insert(key, w.str());
-    return envelope(false, key, "witness", w.str());
+    body = w.end_object().str();
+  } else {
+    const SweepEngine& engine = spec.stretch ? stretch_engine_ : plain_engine_;
+    body = spec.serialize(engine.run_report(g, pattern, *stream.source));
   }
-
-  // sweep
-  bool stretch = true;
-  if (req.find("stretch") != nullptr && !read_bool_field(req, "stretch", stretch)) {
-    return fail("\"stretch\" must be a boolean");
-  }
-  int shard_index = 0;
-  int shard_count = 1;
-  bool shard_set = false;
-  if (const JsonValue* shard = req.find("shard"); shard != nullptr) {
-    int64_t i = -1;
-    int64_t n = -1;
-    JsonValue wrap;
-    wrap.kind = JsonValue::Kind::kObject;
-    if (shard->kind == JsonValue::Kind::kArray && shard->items.size() == 2) {
-      wrap.fields.emplace_back("i", shard->items[0]);
-      wrap.fields.emplace_back("n", shard->items[1]);
-    }
-    if (!json_read_int(wrap, "i", i) || !json_read_int(wrap, "n", n) || i < 0 || n < 1 ||
-        i >= n || n > 1'000'000) {
-      return fail("\"shard\" must be [i,N] with 0 <= i < N");
-    }
-    shard_index = static_cast<int>(i);
-    shard_count = static_cast<int>(n);
-    shard_set = true;
-  }
-
-  std::string key = "sweep|" + entry->hash + "|" + spec.key_part +
-                    "|stretch=" + (stretch ? "1" : "0");
-  if (shard_set) {
-    key += "|shard=" + std::to_string(shard_index) + "/" + std::to_string(shard_count);
-  }
-  if (auto cached = cache_.lookup(key); cached.has_value()) {
-    return envelope(true, key, "report", *cached);
-  }
-
-  auto source = make_source(spec, g, spec_error);
-  if (source == nullptr) return fail(spec_error);
-  if (shard_set) source->shard(shard_index, shard_count);
-  const SweepEngine& engine = stretch ? stretch_engine_ : plain_engine_;
-  const SweepReport report = engine.run_report(g, pattern, *source);
-  const std::string body =
-      shard_set ? to_json_shard(report, shard_index, shard_count) : to_json(report);
   cache_.insert(key, body);
-  return envelope(false, key, "report", body);
+  return envelope(false, key, body_key, body);
 }
 
 // ---- socket layer ----------------------------------------------------------

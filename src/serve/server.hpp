@@ -21,16 +21,23 @@
 //   witness     find_first_violation                -> {..,"witness":{...}}
 //   min-defeat  exact minimum defeating set         -> {..,"result":{...}}
 //
-// A sweep spec: {"cmd":"sweep","graph":<name>,"mode":"iid","p":0.05,
-// "trials":20,"seed":1} or {"mode":"exhaustive","k":2}, plus optional
-// "model":"sd"|"dest" (default "sd"), "stretch":bool (default true),
-// "pairs":[[s,t],...] (default all ordered pairs) and "shard":[i,N] (the
-// report then carries shard provenance, mergeable with `pofl_cli merge`).
+// Keys per command; any other key, or one given twice, is an error:
+//   sweep       "graph", then "mode":"iid" with "p", "trials" and optional
+//               "seed" (default 1), or "mode":"exhaustive" with "k"; optional
+//               "model":"sd"|"dest" (default "sd"), "pairs":[[s,t],...]
+//               (default all ordered pairs, no repeats), "stretch":bool
+//               (default true) and "shard":[i,N] (the report then carries
+//               shard provenance, mergeable with `pofl_cli merge`)
+//   witness     as sweep, without "stretch" and "shard"
+//   min-defeat  "graph", "source", "destination", optional "pattern"
+//               (default "shortest-path") and "budget" (default all links)
 //
 // Determinism is what makes the cache sound: every query is a pure function
-// of (graph content, pattern spec, source spec, shard spec) — the exact
-// coordinates of the cache key, with the graph addressed by structural hash
-// — and a report does not depend on how the stream was partitioned, so a
+// of its key — sweep|<graph hash>|<SweepSpec::key()> (sim/sweep_spec.hpp:
+// model, pattern, source spec, pairs, |stretch=, |shard=), witness|<graph
+// hash>|<SweepSpec::scenario_key()>, min-defeat|<graph hash>|pattern=<the
+// canonical name>|s=|t=|budget= — with the graph addressed by structural
+// hash, and a report does not depend on how the stream was partitioned, so a
 // cached response, a cold daemon response, and a `pofl_cli sweep` recording
 // of the same spec (plain or --procs) are all byte-identical.
 //

@@ -592,14 +592,18 @@ void append_json(JsonWriter& w, const JsonValue& value) {
 
 bool json_read_int(const JsonValue& obj, const std::string& key, int64_t& out) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
+  return v != nullptr && json_read_int(*v, out);
+}
+
+bool json_read_int(const JsonValue& value, int64_t& out) {
+  if (value.kind != JsonValue::Kind::kNumber) return false;
   char* end = nullptr;
   errno = 0;
-  out = std::strtoll(v->text.c_str(), &end, 10);
+  out = std::strtoll(value.text.c_str(), &end, 10);
   // ERANGE clamps to INT64_MAX/MIN silently; a counter that overflows
   // int64 cannot round-trip, so reject the report instead of corrupting
   // the merge.
-  return end != v->text.c_str() && *end == '\0' && errno != ERANGE;
+  return end != value.text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 bool json_read_double(const JsonValue& obj, const std::string& key, double& out) {

@@ -144,6 +144,7 @@ void append_json(JsonWriter& w, const JsonValue& value);
 /// Reads an integer field, rejecting non-numbers, trailing garbage and
 /// ERANGE clamping (a counter that overflows int64 cannot round-trip).
 [[nodiscard]] bool json_read_int(const JsonValue& obj, const std::string& key, int64_t& out);
+[[nodiscard]] bool json_read_int(const JsonValue& value, int64_t& out);
 
 /// Reads a double field with the same errno/ERANGE discipline: 1e999 clamps
 /// to HUGE_VAL with only errno to show for it, and a value that cannot

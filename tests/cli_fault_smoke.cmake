@@ -13,7 +13,8 @@
 #   3. checkpoint/resume — a killed sweep leaves valid shard files in
 #      --checkpoint-dir; the rerun resumes them (skipping the re-run) and
 #      produces byte-identical output, while a rerun with different sweep
-#      parameters is rejected by the checkpoint.meta guard;
+#      parameters, or over a graph file overwritten in place, is rejected
+#      by the checkpoint.meta guard;
 #   4. diagnostics and flag validation — merge names the file, shard, and
 #      byte offset of a truncated input; supervision flags without --procs
 #      and malformed POFL_FAULT specs are hard errors.
@@ -129,6 +130,13 @@ expect_golden("${WORK_DIR}/resumed.json" "checkpoint resume")
 # A rerun with different parameters must be rejected by checkpoint.meta.
 run_cli(FALSE - sweep "${GRAPH}" 0.05 10 --procs 4 --checkpoint-dir "${CKPT}")
 expect_contains("${cli_err}" "different sweep" "checkpoint.meta guard")
+# The guard records graph content, not path: the same command over a graph
+# file overwritten in place is a different sweep too.
+configure_file("${GRAPH}" "${WORK_DIR}/graph.bak" COPYONLY)
+configure_file("${WORK_DIR}/zoo/synth-hubring-10-141.graphml" "${GRAPH}" COPYONLY)
+run_cli(FALSE - ${SWEEP} --retries 0 --checkpoint-dir "${CKPT}")
+expect_contains("${cli_err}" "different sweep" "checkpoint.meta content guard")
+configure_file("${WORK_DIR}/graph.bak" "${GRAPH}" COPYONLY)
 
 # 4a. Merge diagnostics: a truncated input is named with its byte offset;
 # an empty one as empty.

@@ -71,6 +71,7 @@ run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard 2/2)
 run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard junk)
 run_cli(FALSE sweep "${GRAPH}" 0.05 20 --shard 0/2 --procs 2)
 run_cli(FALSE sweep "${GRAPH}" notanumber 20)
+run_cli(FALSE sweep "${GRAPH}" nan 20)
 # Overflow regressions: strtol clamps to LONG_MAX and only signals through
 # errno, and an unchecked long -> int cast truncates 2^32+1 to a silently
 # small value. All of these used to slip through as wrong-but-plausible runs.

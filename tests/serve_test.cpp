@@ -1,6 +1,6 @@
 // Conformance suite for the sweep-as-a-service daemon (src/serve).
 //
-// Four pillars:
+// Five pillars:
 //
 //   * byte parity — daemon sweep responses reproduce the golden
 //     tests/baselines/sweep_*.json recordings bit for bit, including under
@@ -10,9 +10,13 @@
 //     LRU eviction fires exactly at capacity, and the hit/miss/eviction
 //     counters surfaced by the stats endpoint match the request history;
 //   * error containment — malformed requests (bad JSON, unknown cmd,
-//     unregistered graph, out-of-range spec fields) get {"ok":false}
-//     responses and never kill the session: the same connection keeps
-//     answering afterwards, over the real TCP layer too;
+//     unregistered graph, out-of-range spec fields, unknown or misplaced
+//     keys, repeated pairs) get {"ok":false} responses naming the culprit
+//     and never kill the session: the same connection keeps answering
+//     afterwards, over the real TCP layer too;
+//   * witness and min-defeat answers — a witness equals the engine's first
+//     violation on the same source, and every spelling of one pattern seed
+//     shares one cache entry;
 //   * parse robustness — the errno/ERANGE regression for read_double: a
 //     report whose max_stretch is spelled 1e999 (strtod clamps to HUGE_VAL
 //     and signals only through errno) must be rejected, not round-tripped
@@ -29,16 +33,20 @@
 #include <unistd.h>
 
 #include <fstream>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
 #include "orchestrate/posix_io.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
+#include "sim/scenario.hpp"
 #include "sim/sweep_json.hpp"
 #include "synth/fat_tree.hpp"
 
@@ -73,6 +81,7 @@ std::string baseline_body(const std::string& name) {
 struct Envelope {
   bool ok = false;
   bool cached = false;
+  std::string key;
   std::string body;
   std::string error;
 };
@@ -94,6 +103,10 @@ Envelope unpack(const std::string& response, const std::string& body_key) {
   if (const JsonValue* cached = value.find("cached");
       cached != nullptr && cached->kind == JsonValue::Kind::kBool) {
     e.cached = cached->boolean;
+  }
+  if (const JsonValue* key = value.find("key");
+      key != nullptr && key->kind == JsonValue::Kind::kString) {
+    e.key = key->text;
   }
   if (const JsonValue* body = value.find(body_key); body != nullptr) {
     JsonWriter w;
@@ -249,22 +262,39 @@ TEST(ServeCache, GraphHashIsContentAddressed) {
 TEST(ServeErrors, MalformedRequestsGetJsonErrorsAndSessionSurvives) {
   SweepServer server(k33_opts());
   register_k33(server);
-  const std::vector<std::string> bad = {
-      "this is not json",
-      "{\"no_cmd\":1}",
-      "{\"cmd\":\"frobnicate\"}",
-      R"({"cmd":"sweep","graph":"nope","mode":"iid","p":0.1,"trials":2})",
-      R"({"cmd":"sweep","graph":"k33","mode":"iid","p":1.5,"trials":2})",
-      R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":0})",
-      R"({"cmd":"sweep","graph":"k33","mode":"exhaustive"})",
-      R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"shard":[2,2]})",
-      R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"pairs":[[0,0]]})",
-      R"({"cmd":"min-defeat","graph":"k33","source":0,"destination":99})",
+  // Each request, and a string its error must contain (the offending key or
+  // pair index) where the error has one to name.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"this is not json", ""},
+      {"{\"no_cmd\":1}", ""},
+      {"{\"cmd\":\"frobnicate\"}", ""},
+      {R"({"cmd":"sweep","graph":"nope","mode":"iid","p":0.1,"trials":2})", ""},
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":1.5,"trials":2})", ""},
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":0})", ""},
+      {R"({"cmd":"sweep","graph":"k33","mode":"exhaustive"})", ""},
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"shard":[2,2]})", ""},
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"pairs":[[0,0]]})", ""},
+      {R"({"cmd":"min-defeat","graph":"k33","source":0,"destination":99})", ""},
+      // A repeated pair used to be swept twice (10 scenarios for 5 trials).
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":5,)"
+       R"("pairs":[[0,1],[0,1]]})",
+       "pairs[1]"},
+      // Unknown keys used to be ignored: a typo'd seed silently swept seed 1.
+      {R"({"cmd":"sweep","graph":"k33","mode":"iid","p":0.1,"trials":2,"sede":9})", "sede"},
+      {R"({"cmd":"witness","graph":"k33","mode":"exhaustive","k":1,"sede":9})", "sede"},
+      {R"({"cmd":"min-defeat","graph":"k33","source":0,"destination":3,"budgte":2})",
+       "budgte"},
+      // Keys that do not apply to the mode or command.
+      {R"({"cmd":"sweep","graph":"k33","mode":"exhaustive","k":1,"p":3,"seed":7})", "\"p\""},
+      {R"({"cmd":"witness","graph":"k33","mode":"exhaustive","k":1,"stretch":false})",
+       "stretch"},
+      {R"({"cmd":"witness","graph":"k33","mode":"exhaustive","k":1,"shard":[0,2]})", "shard"},
   };
-  for (const std::string& request : bad) {
+  for (const auto& [request, names] : bad) {
     const Envelope e = unpack(server.handle_request(request), "report");
     EXPECT_FALSE(e.ok) << "accepted: " << request;
     EXPECT_FALSE(e.error.empty()) << "no error text for: " << request;
+    EXPECT_NE(e.error.find(names), std::string::npos) << e.error << " does not name " << names;
   }
   // The session keeps answering after every rejection.
   EXPECT_EQ(server.handle_request("{\"cmd\":\"ping\"}"), "{\"ok\":true,\"pong\":true}");
@@ -289,6 +319,73 @@ TEST(ServeErrors, DeeplyNestedRequestIsRejectedAtTheDepthCap) {
   size_t stop = 0;
   EXPECT_FALSE(parse_json("[" + deepest + "]", value, &stop));
   EXPECT_EQ(stop, static_cast<size_t>(kMaxJsonDepth));
+}
+
+// ---- min-defeat and witness -----------------------------------------------
+
+TEST(ServeMinDefeat, SeedSpellingsShareOneCacheEntry) {
+  SweepServer server(k33_opts());
+  register_k33(server);
+  const auto ask = [&](const std::string& pattern) {
+    return unpack(server.handle_request(R"({"cmd":"min-defeat","graph":"k33","pattern":")" +
+                                        pattern + R"(","source":0,"destination":3})"),
+                  "result");
+  };
+  const Envelope first = ask("random-cyclic:5");
+  ASSERT_TRUE(first.ok) << first.error;
+  EXPECT_FALSE(first.cached);
+  for (const std::string spelling : {"random-cyclic:+05", "random-cyclic: 5"}) {
+    const Envelope again = ask(spelling);
+    ASSERT_TRUE(again.ok) << again.error;
+    EXPECT_TRUE(again.cached) << spelling << " missed the cache";
+    EXPECT_EQ(again.key, first.key);
+    EXPECT_EQ(again.body, first.body);
+  }
+  EXPECT_EQ(server.cache_stats().entries, 1);
+}
+
+TEST(ServeWitness, MatchesTheEngineOnTheSameSource) {
+  // The daemon's witness must be the plain engine's first violation on the
+  // same scenario stream: same canonical index, failure set and outcome.
+  SweepServer server(k33_opts());
+  register_k33(server);
+  const Graph g = make_complete_bipartite(3, 3);
+  const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, g);
+  struct Case {
+    std::string request;
+    std::unique_ptr<ScenarioSource> source;
+  };
+  std::vector<Case> cases;
+  cases.push_back({R"({"cmd":"witness","graph":"k33","mode":"exhaustive","k":4})",
+                   std::make_unique<ExhaustiveFailureSource>(g, 4, all_ordered_pairs(g))});
+  cases.push_back({R"({"cmd":"witness","graph":"k33","mode":"iid","p":0.4,"trials":50,)"
+                   R"("seed":3})",
+                   std::make_unique<RandomFailureSource>(
+                       RandomFailureSource::iid(g, 0.4, 50, 3, all_ordered_pairs(g)))});
+  for (Case& c : cases) {
+    const auto expected = SweepEngine().find_first_violation(g, *pattern, *c.source);
+    ASSERT_TRUE(expected.has_value()) << "no violation to compare on: " << c.request;
+
+    const Envelope e = unpack(server.handle_request(c.request), "witness");
+    ASSERT_TRUE(e.ok) << e.error;
+    EXPECT_FALSE(e.cached);
+    JsonValue witness;
+    ASSERT_TRUE(parse_json(e.body, witness));
+    int64_t index = -1;
+    ASSERT_TRUE(json_read_int(witness, "index", index));
+    EXPECT_EQ(index, expected->index) << c.request;
+    std::vector<int> failures;
+    for (const JsonValue& item : witness.find("failures")->items) {
+      failures.push_back(std::stoi(item.text));
+    }
+    EXPECT_EQ(failures, expected->scenario.failures.to_vector()) << c.request;
+    EXPECT_EQ(witness.find("outcome")->text, to_string(expected->routing.outcome)) << c.request;
+
+    const Envelope repeat = unpack(server.handle_request(c.request), "witness");
+    ASSERT_TRUE(repeat.ok) << repeat.error;
+    EXPECT_TRUE(repeat.cached);
+    EXPECT_EQ(repeat.body, e.body);
+  }
 }
 
 // ---- the TCP layer ---------------------------------------------------------
