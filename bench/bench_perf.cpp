@@ -5,7 +5,10 @@
 // lockstep chunks, word-packed seen bits, memoized forwarding decisions) on
 // four scenario streams, at 1 and N threads. The driver *asserts* that both
 // arms produce bit-identical SweepStats and exits nonzero otherwise, so the
-// multi-threaded number can never come from diverging semantics. A separate
+// multi-threaded number can never come from diverging semantics. A stretch
+// column times the same engine with compute_stretch at 1 thread (the stretch
+// layer is its difference from the plain 1-thread column) and asserts its
+// SweepStats, stretch sums included, match the N-thread run. A separate
 // source-only column drains each source into a ScenarioBatch with no
 // simulation at all, so scenario-production regressions show up in
 // isolation. `--json <path>` writes every number machine-readably
@@ -221,8 +224,8 @@ int main(int argc, char** argv) {
   std::printf("(zoo graph: %s, n=%d m=%d; fat-tree k=6: n=%d m=%d; mt arm uses %d threads)\n\n",
               zoo_pick->name.c_str(), zg.num_vertices(), zg.num_edges(), ft.num_vertices(),
               ft.num_edges(), mt_threads);
-  std::printf("%-16s %12s | %14s %14s %14s | %8s\n", "workload", "scenarios", "source-only/s",
-              "fast 1t/s", "fast mt/s", "x mt");
+  std::printf("%-16s %12s | %14s %14s %14s | %8s | %14s\n", "workload", "scenarios",
+              "source-only/s", "fast 1t/s", "fast mt/s", "x mt", "stretch 1t/s");
 
   bool all_identical = true;
   for (const Workload& w : workloads) {
@@ -235,8 +238,14 @@ int main(int argc, char** argv) {
     SweepOptions optsN;
     optsN.num_threads = mt_threads;
     const SweepEngine engineN(optsN);
+    // The stretch layer rides along in the same rounds: the engine with
+    // compute_stretch at 1 thread, and once at N threads for identity.
+    opts1.compute_stretch = true;
+    const SweepEngine stretch_engine1(opts1);
+    optsN.compute_stretch = true;
+    const SweepEngine stretch_engineN(optsN);
 
-    Measured fast1, fastN;
+    Measured fast1, fastN, stretch1;
     for (int round = 0; round < 3; ++round) {
       const Measured f1 = measure_sweep_once([&] {
         w.source->reset();
@@ -246,19 +255,28 @@ int main(int argc, char** argv) {
         w.source->reset();
         return engineN.run(*w.g, *w.pattern, *w.source);
       });
+      const Measured s1 = measure_sweep_once([&] {
+        w.source->reset();
+        return stretch_engine1.run(*w.g, *w.pattern, *w.source);
+      });
       if (f1.packets_per_sec > fast1.packets_per_sec) fast1 = f1;
       if (fN.packets_per_sec > fastN.packets_per_sec) fastN = fN;
+      if (s1.packets_per_sec > stretch1.packets_per_sec) stretch1 = s1;
     }
+    w.source->reset();
+    const SweepStats stretchN = stretch_engineN.run(*w.g, *w.pattern, *w.source);
 
     const double source_rate = measure_source_rate(*w.source);
 
     const bool identical = stats_identical(fast1.stats, fastN.stats);
-    all_identical = all_identical && identical;
+    const bool stretch_identical = stats_identical(stretch1.stats, stretchN);
+    all_identical = all_identical && identical && stretch_identical;
 
-    std::printf("%-16s %12lld | %14.0f %14.0f %14.0f | %7.2fx%s\n", w.name.c_str(),
+    std::printf("%-16s %12lld | %14.0f %14.0f %14.0f | %7.2fx | %14.0f%s%s\n", w.name.c_str(),
                 static_cast<long long>(fast1.stats.total), source_rate, fast1.packets_per_sec,
                 fastN.packets_per_sec, fastN.packets_per_sec / fast1.packets_per_sec,
-                identical ? "" : "  STATS MISMATCH");
+                stretch1.packets_per_sec, identical ? "" : "  STATS MISMATCH",
+                stretch_identical ? "" : "  STRETCH STATS MISMATCH");
 
     json.begin_object();
     json.key("name").value(w.name);
@@ -267,6 +285,8 @@ int main(int argc, char** argv) {
     json.key("fast_packets_per_sec_1t").value(fast1.packets_per_sec);
     json.key("fast_packets_per_sec_mt").value(fastN.packets_per_sec);
     json.key("stats_identical").value(identical);
+    json.key("stretch_packets_per_sec_1t").value(stretch1.packets_per_sec);
+    json.key("stretch_stats_identical").value(stretch_identical);
     json.key("stats");
     append_json(json, fast1.stats);
     json.end_object();
@@ -473,8 +493,8 @@ int main(int argc, char** argv) {
   if (!args.json_path.empty() && !write_json_file(args.json_path, json.str())) return 1;
   if (!all_identical) {
     std::fprintf(stderr,
-                 "error: an arm diverged (SweepStats at 1 vs N threads, or "
-                 "branch-and-bound witness vs enumeration)\n");
+                 "error: an arm diverged (SweepStats at 1 vs N threads, with or without "
+                 "stretch, or branch-and-bound witness vs enumeration)\n");
     return 1;
   }
   return 0;

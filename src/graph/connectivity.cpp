@@ -111,6 +111,40 @@ std::optional<int> distance(const Graph& g, VertexId u, VertexId v, const IdSet&
   return d;
 }
 
+DistanceTable::DistanceTable(const Graph& g)
+    : n_(static_cast<size_t>(g.num_vertices())), dist_(n_ * n_) {
+  const IdSet none = g.empty_edge_set();
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    const auto row = bfs_distances(g, s, none);
+    std::copy(row.begin(), row.end(), dist_.begin() + static_cast<ptrdiff_t>(n_) * s);
+  }
+  edge_u_.reserve(static_cast<size_t>(g.num_edges()));
+  edge_v_.reserve(static_cast<size_t>(g.num_edges()));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    edge_u_.push_back(g.edge(e).u);
+    edge_v_.push_back(g.edge(e).v);
+  }
+}
+
+bool DistanceTable::on_shortest_path(const IdSet& failed, VertexId s, VertexId t) const {
+  // Undirected distances are symmetric, so dist(b, t) reads row t: the whole
+  // test touches the two rows of s and t only.
+  const int32_t* from_s = &dist_[static_cast<size_t>(s) * n_];
+  const int32_t* from_t = &dist_[static_cast<size_t>(t) * n_];
+  const int32_t d = from_s[t];
+  for (uint32_t wi = 0; wi < failed.num_words(); ++wi) {
+    for (uint64_t w = failed.word(wi); w != 0; w &= w - 1) {
+      const auto e = static_cast<size_t>(wi * 64 + static_cast<uint32_t>(__builtin_ctzll(w)));
+      const VertexId a = edge_u_[e];
+      const VertexId b = edge_v_[e];
+      // An endpoint outside the s-t component reads -1 on both of its sides
+      // and makes the sum negative, never d >= 0.
+      if (from_s[a] + 1 + from_t[b] == d || from_s[b] + 1 + from_t[a] == d) return true;
+    }
+  }
+  return false;
+}
+
 std::optional<std::vector<VertexId>> shortest_path(const Graph& g, VertexId u, VertexId v,
                                                    const IdSet& failed) {
   if (u == v) return std::vector<VertexId>{u};

@@ -45,6 +45,32 @@ using PromiseCheck = std::function<bool(const Graph&, VertexId source, VertexId 
 [[nodiscard]] std::optional<int> distance(const Graph& g, VertexId u, VertexId v,
                                           const IdSet& failed);
 
+/// All-pairs failure-free hop distances of g: one BFS per vertex, n² int32
+/// entries, -1 for unreachable pairs. Immutable once built, so sweep workers
+/// share one table read-only. Removing links never shortens a path, so an
+/// entry is a lower bound on the distance under any failure set.
+class DistanceTable {
+ public:
+  explicit DistanceTable(const Graph& g);
+
+  /// dist_G(u, v), -1 if u and v are disconnected in g.
+  [[nodiscard]] int operator()(VertexId u, VertexId v) const {
+    return dist_[static_cast<size_t>(u) * n_ + static_cast<size_t>(v)];
+  }
+
+  /// True iff some link {a, b} of `failed` lies on a shortest s-t path of g:
+  /// dist(s, a) + 1 + dist(b, t) == dist(s, t), in either orientation. When
+  /// it returns false a shortest path of g survives, so dist_{G\F}(s, t) ==
+  /// dist_G(s, t). O(|failed|). Precondition: s and t are connected in g.
+  [[nodiscard]] bool on_shortest_path(const IdSet& failed, VertexId s, VertexId t) const;
+
+ private:
+  size_t n_ = 0;
+  std::vector<int32_t> dist_;     // row-major n × n
+  std::vector<VertexId> edge_u_;  // per edge id: its endpoints
+  std::vector<VertexId> edge_v_;
+};
+
 /// A shortest path (list of vertices) from u to v in the surviving graph.
 [[nodiscard]] std::optional<std::vector<VertexId>> shortest_path(const Graph& g, VertexId u,
                                                                  VertexId v, const IdSet& failed);

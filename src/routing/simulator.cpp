@@ -549,25 +549,34 @@ FastTourResult tour_packet_fast(const SimContext& ctx, const ForwardingPattern& 
   return result;
 }
 
-bool connected_fast(const SimContext& ctx, const IdSet& failures, VertexId u, VertexId v,
-                    RoutingWorkspace& ws) {
-  if (u == v) return true;
+int distance_fast(const SimContext& ctx, const IdSet& failures, VertexId u, VertexId v,
+                  RoutingWorkspace& ws) {
+  if (u == v) return 0;
   const Graph& g = ctx.graph();
   ws.begin_packet(ctx);
   std::vector<VertexId>& queue = ws.queue_scratch();
   queue.clear();
   (void)ws.mark_component(u);
   queue.push_back(u);
-  for (size_t head = 0; head < queue.size(); ++head) {
-    const VertexId at = queue[head];
-    for (EdgeId e : g.incident_edges(at)) {
-      if (failures.contains(e)) continue;
-      const VertexId w = g.other_endpoint(e, at);
-      if (w == v) return true;
-      if (!ws.mark_component(w)) queue.push_back(w);
+  // queue[head, level_end) is the frontier at distance `depth`.
+  int depth = 0;
+  for (size_t head = 0; head < queue.size(); ++depth) {
+    for (const size_t level_end = queue.size(); head < level_end; ++head) {
+      const VertexId at = queue[head];
+      for (EdgeId e : g.incident_edges(at)) {
+        if (failures.contains(e)) continue;
+        const VertexId w = g.other_endpoint(e, at);
+        if (w == v) return depth + 1;
+        if (!ws.mark_component(w)) queue.push_back(w);
+      }
     }
   }
-  return false;
+  return -1;
+}
+
+bool connected_fast(const SimContext& ctx, const IdSet& failures, VertexId u, VertexId v,
+                    RoutingWorkspace& ws) {
+  return distance_fast(ctx, failures, u, v, ws) >= 0;
 }
 
 }  // namespace pofl

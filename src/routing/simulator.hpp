@@ -408,10 +408,17 @@ struct FastTourResult {
                                               const IdSet& failures, VertexId start,
                                               RoutingWorkspace& ws);
 
-/// Allocation-free equivalent of connected(g, u, v, failures): BFS over the
-/// surviving graph on the workspace's epoch-stamped buffers, with early exit
-/// on reaching v. Same answer as the connectivity primitive; this is the
-/// sweep engine's default promise check for singleton failure-set groups.
+/// Allocation-free equivalent of distance(g, u, v, failures), -1 when u and
+/// v are disconnected: a level-synchronous BFS over the surviving graph on
+/// the workspace's epoch-stamped buffers, with early exit on reaching v.
+/// The sweep engine's stretch step falls back to it when the failure-free
+/// bounds do not settle a delivery's distance.
+[[nodiscard]] int distance_fast(const SimContext& ctx, const IdSet& failures, VertexId u,
+                                VertexId v, RoutingWorkspace& ws);
+
+/// Allocation-free equivalent of connected(g, u, v, failures), i.e.
+/// distance_fast(...) >= 0; the sweep engine's default promise check for
+/// singleton failure-set groups.
 [[nodiscard]] bool connected_fast(const SimContext& ctx, const IdSet& failures, VertexId u,
                                   VertexId v, RoutingWorkspace& ws);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/connectivity.hpp"
 #include "graph/fast_rand.hpp"
 #include "routing/simulator.hpp"
 
@@ -26,15 +25,15 @@ StretchStats measure_stretch(const Graph& g, const ForwardingPattern& pattern, V
 
   for (int trial = 0; trial < trials; ++trial) {
     floyd_sample(rng, g.num_edges(), std::min(num_failures, g.num_edges()), failures);
-    const auto d = distance(g, s, t, failures);
-    if (!d.has_value() || *d == 0) continue;  // promise broken (or s == t)
+    const int d = distance_fast(ctx, failures, s, t, ws);
+    if (d <= 0) continue;  // promise broken (or s == t)
     const FastRouteResult r = route_packet_fast(ctx, pattern, failures, s, Header{s, t}, ws);
     if (r.outcome != RoutingOutcome::kDelivered) {
       ++stats.failed_deliveries;
       continue;
     }
     ++stats.samples;
-    const double stretch = static_cast<double>(r.hops) / *d;
+    const double stretch = static_cast<double>(r.hops) / d;
     stretch_sum += stretch;
     hops_sum += r.hops;
     stats.max_stretch = std::max(stats.max_stretch, stretch);

@@ -7,6 +7,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -82,6 +83,25 @@ struct GroupScratch {
   std::unique_ptr<IncrementalConnectivity> inc;  // lazy: Monte Carlo never builds it
 };
 
+/// Largest graph whose failure-free DistanceTable a stretch sweep builds
+/// (2048² int32 = 16 MB); past it every delivery takes the BFS tier.
+constexpr int kMaxDistanceTableVertices = 2048;
+
+/// dist_{G\F}(s, t) of a packet delivered from s to t in `hops` surviving
+/// hops, exactly. dist_G <= dist_{G\F} (failures never shorten a path) and
+/// dist_{G\F} <= hops (the packet walked that path), so in three tiers:
+/// hops == dist_G settles it; a failure set missing every shortest s-t path
+/// of G leaves dist_G; otherwise an early-exit BFS on the workspace. The
+/// delivery itself connects s and t in G, as on_shortest_path requires.
+int surviving_distance(const SimContext& ctx, const DistanceTable* base, const IdSet& failures,
+                       VertexId s, VertexId t, int hops, RoutingWorkspace& ws) {
+  if (base != nullptr) {
+    const int d = (*base)(s, t);
+    if (d == hops || !base->on_shortest_path(failures, s, t)) return d;
+  }
+  return distance_fast(ctx, failures, s, t, ws);
+}
+
 /// Consumes one whole batch group-parallel: the scenarios are promise-
 /// filtered group by group in stream order, then every admitted packet of the
 /// batch is routed in a single route_groups_fast call (packets of different
@@ -89,14 +109,17 @@ struct GroupScratch {
 /// machinery). Touring scenarios take the scalar tour core inside the same
 /// loop. When `violations` is non-null, violations[i] is set for every
 /// scenario i of the batch: 1 iff its promise held and the packet was not
-/// delivered (or the tour did not complete).
+/// delivered (or the tour did not complete); its tallies are thrown away, so
+/// stretch is then skipped. `base` is the run's failure-free distance table
+/// (null when stretch is off or the graph is past the table cap).
 void process_batch_groups(const SimContext& ctx, const ForwardingPattern& pattern,
                           const ScenarioBatch& batch, int n, const SweepOptions& opts,
-                          bool collect_per_pair, SweepStats& local,
+                          const DistanceTable* base, bool collect_per_pair, SweepStats& local,
                           std::unordered_map<uint64_t, SweepStats>& local_pairs,
                           RoutingWorkspace& ws, GroupScratch& scratch, uint8_t* violations) {
   const Graph& g = ctx.graph();
-  const bool per_packet = collect_per_pair || opts.compute_stretch || violations != nullptr;
+  const bool stretch = opts.compute_stretch && violations == nullptr;
+  const bool per_packet = collect_per_pair || stretch || violations != nullptr;
   // Packing goes through raw pointers into worker-persistent arrays sized to
   // the batch (capacity sticks across batches, so the resizes are free in
   // steady state) — the admission loop runs per scenario and push_back's
@@ -233,10 +256,11 @@ void process_batch_groups(const SimContext& ctx, const ForwardingPattern& patter
       if (violations != nullptr) violations[scratch.index[uk]] = 1;
       continue;
     }
-    if (opts.compute_stretch) {
+    if (stretch) {
       const IdSet& failures = *scratch.fsets[static_cast<size_t>(scratch.ord[uk])];
-      const auto dist = distance(g, scratch.src[uk], scratch.dst[uk], failures);
-      if (dist.has_value() && *dist >= 1) st.tally_stretch(r.hops, *dist);
+      const int dist = surviving_distance(ctx, base, failures, scratch.src[uk], scratch.dst[uk],
+                                          r.hops, ws);
+      if (dist >= 1) st.tally_stretch(r.hops, dist);
     }
   }
 }
@@ -332,6 +356,9 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   // One immutable context per run (per graph), one workspace per worker:
   // steady-state scenarios allocate nothing.
   const SimContext ctx(g);
+  std::optional<DistanceTable> base;
+  if (opts_.compute_stretch && g.num_vertices() <= kMaxDistanceTableVertices) base.emplace(g);
+  const DistanceTable* const base_ptr = base ? &*base : nullptr;
 
   SweepReport report;
   std::unordered_map<uint64_t, SweepStats> global_pairs;
@@ -349,8 +376,8 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
         n = source.next_batch(batch_size, slot.batch);
       }
       if (n == 0) break;
-      process_batch_groups(ctx, pattern, slot.batch, n, opts_, collect_per_pair, local,
-                           slot.local_pairs, slot.ws, slot.scratch, nullptr);
+      process_batch_groups(ctx, pattern, slot.batch, n, opts_, base_ptr, collect_per_pair,
+                           local, slot.local_pairs, slot.ws, slot.scratch, nullptr);
     }
     {
       const std::lock_guard<std::mutex> lock(stats_mutex);
@@ -425,9 +452,9 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
         produced += n;
       }
       slot.violations.resize(static_cast<size_t>(n));
-      process_batch_groups(ctx, pattern, slot.batch, n, opts_, /*collect_per_pair=*/false,
-                           scratch, slot.local_pairs, slot.ws, slot.scratch,
-                           slot.violations.data());
+      process_batch_groups(ctx, pattern, slot.batch, n, opts_, /*base=*/nullptr,
+                           /*collect_per_pair=*/false, scratch, slot.local_pairs, slot.ws,
+                           slot.scratch, slot.violations.data());
       for (int i = 0; i < n; ++i) {
         const int64_t index = start + i;
         if (index >= best.load(std::memory_order_relaxed)) break;

@@ -67,8 +67,11 @@ struct SweepOptions {
   int num_threads = 0;
   /// Scenarios handed to a worker per lock acquisition.
   int batch_size = 256;
-  /// Also BFS the surviving graph on each delivery to accumulate stretch
-  /// (hops / dist_{G\F}(s, t)). Costs one BFS per delivered scenario.
+  /// Also accumulate stretch (hops / dist_{G\F}(s, t)) over deliveries.
+  /// The distance is exact, in three tiers: it is `hops` when hops ==
+  /// dist_G(s, t); it is dist_G(s, t) when no failed link lies on a shortest
+  /// s-t path of G (an O(|F|) test on a failure-free all-pairs table built
+  /// once per run); otherwise an allocation-free early-exit BFS of G \ F.
   bool compute_stretch = false;
   /// Custom promise predicate; overrides the default check ("s and t
   /// connected in G \ F" for routing scenarios, "always" for touring ones).

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+#include <vector>
 
 #include "graph/builders.hpp"
+#include "synth/fat_tree.hpp"
 
 namespace pofl {
 namespace {
@@ -134,6 +137,82 @@ TEST(Connectivity, TwoEdgeConnected) {
 TEST(Connectivity, GlobalEdgeConnectivityBipartite) {
   const Graph k34 = make_complete_bipartite(3, 4);
   EXPECT_EQ(global_edge_connectivity(k34, k34.empty_edge_set()), 3);
+}
+
+/// Every failure set of at most two links, on graphs small enough to walk.
+std::vector<IdSet> failure_sets_up_to_two(const Graph& g) {
+  std::vector<IdSet> sets{g.empty_edge_set()};
+  for (EdgeId a = 0; a < g.num_edges(); ++a) {
+    IdSet one = g.empty_edge_set();
+    one.insert(a);
+    sets.push_back(one);
+    for (EdgeId b = a + 1; b < g.num_edges(); ++b) {
+      IdSet two = one;
+      two.insert(b);
+      sets.push_back(std::move(two));
+    }
+  }
+  return sets;
+}
+
+TEST(DistanceTable, EntriesAreFailureFreeDistances) {
+  const Graph g = make_fat_tree(4);
+  const DistanceTable table(g);
+  for (VertexId s = 0; s < g.num_vertices(); ++s) {
+    const auto row = bfs_distances(g, s, g.empty_edge_set());
+    for (VertexId t = 0; t < g.num_vertices(); ++t) {
+      ASSERT_EQ(table(s, t), row[static_cast<size_t>(t)]) << s << "," << t;
+    }
+  }
+}
+
+TEST(DistanceTable, OffShortestPathFailuresKeepTheDistance) {
+  // The stretch tier-2 contract, exhaustively over |F| <= 2 and every pair:
+  // whenever no failed link lies on a shortest s-t path of G, the surviving
+  // distance is the failure-free one. And the test is not vacuous: both
+  // answers occur, and a failure set that lengthens the distance always
+  // reports a link on a shortest path.
+  for (const Graph& g : {make_fat_tree(4), make_complete_bipartite(3, 3)}) {
+    const DistanceTable table(g);
+    int off = 0;
+    int on = 0;
+    for (const IdSet& failures : failure_sets_up_to_two(g)) {
+      for (VertexId s = 0; s < g.num_vertices(); ++s) {
+        for (VertexId t = 0; t < g.num_vertices(); ++t) {
+          const auto d = distance(g, s, t, failures);
+          if (table.on_shortest_path(failures, s, t)) {
+            ++on;
+            continue;
+          }
+          ++off;
+          ASSERT_TRUE(d.has_value()) << s << "," << t;
+          ASSERT_EQ(*d, table(s, t)) << s << "," << t;
+        }
+      }
+    }
+    EXPECT_GT(off, 0);
+    EXPECT_GT(on, 0);
+  }
+}
+
+TEST(DistanceTable, DisconnectedPairsReadMinusOneAndNeverMatch) {
+  // Two components: a 5-cycle on 0..4 and a 4-cycle on 5..8. Cross pairs
+  // read -1, and failures in the other component never count as lying on a
+  // shortest path (their -1 entries cannot sum to a real distance).
+  Graph g(9);
+  for (VertexId v = 0; v < 5; ++v) (void)g.add_edge(v, (v + 1) % 5);
+  for (VertexId v = 5; v < 9; ++v) (void)g.add_edge(v, v == 8 ? 5 : v + 1);
+  const DistanceTable table(g);
+  EXPECT_EQ(table(0, 6), -1);
+  EXPECT_EQ(table(7, 2), -1);
+  EXPECT_EQ(table(0, 2), 2);
+  EXPECT_EQ(table(5, 7), 2);
+  IdSet far = g.empty_edge_set();
+  for (EdgeId e = 5; e < g.num_edges(); ++e) far.insert(e);
+  EXPECT_FALSE(table.on_shortest_path(far, 0, 2));
+  IdSet near = g.empty_edge_set();
+  near.insert(*g.edge_between(0, 1));
+  EXPECT_TRUE(table.on_shortest_path(near, 0, 2));
 }
 
 }  // namespace

@@ -109,6 +109,8 @@ TEST(FastPath, ConnectedFastAgreesExhaustivelyOnK33) {
       for (VertexId v = 0; v < g.num_vertices(); ++v) {
         ASSERT_EQ(connected_fast(ctx, failures, u, v, ws), connected(g, u, v, failures))
             << "mask=" << mask << " u=" << u << " v=" << v;
+        ASSERT_EQ(distance_fast(ctx, failures, u, v, ws), distance(g, u, v, failures).value_or(-1))
+            << "mask=" << mask << " u=" << u << " v=" << v;
       }
     }
   }

@@ -8,13 +8,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "attacks/pattern_corpus.hpp"
+#include "classify/zoo.hpp"
 #include "graph/bitmask.hpp"
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
@@ -339,6 +343,128 @@ TEST(SweepEngineGroupRouting, StretchTalliesMatchScalarPath) {
   src.reset();
   expect_reports_equal(SweepEngine(o).run_report(k33, *pattern, src), reference,
                        "stretch engine vs reference");
+}
+
+/// Which stretch tier each delivery of `source` lands in, by the engine's
+/// rule: [0] hops == dist_G, [1] no failed link on a shortest s-t path of G,
+/// [2] neither (the BFS). Lets a test show it reaches every tier.
+std::array<int64_t, 3> stretch_tier_counts(const Graph& g, const ForwardingPattern& pattern,
+                                           ScenarioSource& source) {
+  const SimContext ctx(g);
+  const DistanceTable table(g);
+  RoutingWorkspace ws;
+  ScenarioBatch batch;
+  std::array<int64_t, 3> tiers{};
+  source.reset();
+  while (const int n = source.next_batch(64, batch)) {
+    for (int i = 0; i < n; ++i) {
+      const VertexId s = batch.source(i);
+      const VertexId t = batch.destination(i);
+      const IdSet& failures = batch.failures(i);
+      if (!connected(g, s, t, failures)) continue;
+      const FastRouteResult r = route_packet_fast(ctx, pattern, failures, s, Header{s, t}, ws);
+      if (r.outcome != RoutingOutcome::kDelivered) continue;
+      if (r.hops == table(s, t)) {
+        ++tiers[0];
+      } else if (!table.on_shortest_path(failures, s, t)) {
+        ++tiers[1];
+      } else {
+        ++tiers[2];
+      }
+    }
+  }
+  return tiers;
+}
+
+/// The engine's stretch tallies against reference_report (one distance()
+/// BFS per delivery) at 1 and 4 threads, per pair.
+void expect_stretch_matches_reference(const Graph& g, const ForwardingPattern& pattern,
+                                      ScenarioSource& src, const std::string& what) {
+  const SweepReport reference = reference_report(g, pattern, src, /*compute_stretch=*/true);
+  EXPECT_GT(reference.totals.stretch_samples, 0) << what;
+  for (const int n : {1, 4}) {
+    SweepOptions o = threads(n);
+    o.compute_stretch = true;
+    src.reset();
+    const std::string label = what + (n == 1 ? ", 1t" : ", 4t");
+    expect_reports_equal(SweepEngine(o).run_report(g, pattern, src), reference, label.c_str());
+  }
+}
+
+TEST(SweepEngineGroupRouting, StretchTiersMatchScalarPathOnFatTree) {
+  // Fat-tree k=4, every |F| <= 2, every ordered pair. Shortest-path
+  // deliveries mostly settle in tier 1; the detouring patterns deliver with
+  // hops > dist_G and reach tiers 2 and 3.
+  const Graph ft = make_fat_tree(4);
+  ExhaustiveFailureSource src(ft, 2, all_ordered_pairs(ft));
+  std::array<int64_t, 3> reached{};
+  for (const char* name : {"shortest-path", "id-cyclic", "bounce-shy"}) {
+    const auto pattern = make_named_pattern(name, ft);
+    ASSERT_NE(pattern, nullptr) << name;
+    expect_stretch_matches_reference(ft, *pattern, src, name);
+    const auto tiers = stretch_tier_counts(ft, *pattern, src);
+    for (size_t k = 0; k < tiers.size(); ++k) reached[k] += tiers[k];
+  }
+  EXPECT_GT(reached[0], 0);
+  EXPECT_GT(reached[1], 0);
+  EXPECT_GT(reached[2], 0);
+}
+
+TEST(SweepEngineGroupRouting, StretchTiersMatchScalarPathOnMonteCarloZoo) {
+  // Monte Carlo i.i.d. draws on a synthetic zoo graph: singleton groups, so
+  // the promise takes the workspace BFS that the stretch BFS tier shares.
+  const auto zoo = make_synthetic_zoo();
+  const NamedGraph* pick = &zoo.front();
+  for (const NamedGraph& ng : zoo) {
+    if (ng.graph.num_vertices() >= 20 && ng.graph.num_vertices() <= 40) {
+      pick = &ng;
+      break;
+    }
+  }
+  const Graph& g = pick->graph;
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  const int step = std::max(1, g.num_vertices() / 6);
+  for (VertexId s = 0; s < g.num_vertices(); s += step) {
+    for (VertexId t = 0; t < g.num_vertices(); t += step) {
+      if (s != t) pairs.emplace_back(s, t);
+    }
+  }
+  auto src = RandomFailureSource::iid(g, 0.1, /*trials_per_pair=*/30, /*seed=*/11, pairs);
+  std::array<int64_t, 3> reached{};
+  for (const char* name : {"shortest-path", "id-cyclic"}) {
+    const auto pattern = make_named_pattern(name, g);
+    ASSERT_NE(pattern, nullptr) << name;
+    expect_stretch_matches_reference(g, *pattern, src, pick->name + " " + name);
+    const auto tiers = stretch_tier_counts(g, *pattern, src);
+    for (size_t k = 0; k < tiers.size(); ++k) reached[k] += tiers[k];
+  }
+  EXPECT_GT(reached[0], 0);
+  EXPECT_GT(reached[1], 0);
+  EXPECT_GT(reached[2], 0);
+}
+
+TEST(SweepEngineGroupRouting, StretchOnTwoComponentsMatchesScalarPath) {
+  // Cross-component pairs read -1 in the failure-free table; they break the
+  // promise, and no -1 entry may settle a distance in the components.
+  Graph g(9);
+  for (VertexId v = 0; v < 5; ++v) (void)g.add_edge(v, (v + 1) % 5);
+  for (VertexId v = 5; v < 9; ++v) (void)g.add_edge(v, v == 8 ? 5 : v + 1);
+  (void)g.add_edge(0, 2);
+  const auto pattern = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
+  ExhaustiveFailureSource src(g, 2, all_ordered_pairs(g));
+  expect_stretch_matches_reference(g, *pattern, src, "two components");
+  src.reset();
+  EXPECT_GT(reference_report(g, *pattern, src).totals.promise_broken, 0);
+}
+
+TEST(SweepEngineGroupRouting, StretchWithoutDistanceTableMatchesScalarPath) {
+  // A 2,100-vertex cycle is past the engine's failure-free table cap, so
+  // every delivery takes the BFS tier.
+  const Graph g = make_cycle(2100);
+  const auto pattern = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
+  const std::vector<std::pair<VertexId, VertexId>> pairs{{0, 1}, {0, 700}, {1500, 3}};
+  auto src = RandomFailureSource::iid(g, 0.0005, /*trials_per_pair=*/8, /*seed=*/5, pairs);
+  expect_stretch_matches_reference(g, *pattern, src, "cycle past the table cap");
 }
 
 TEST(SweepEngineGroupRouting, CustomPromiseMatchesReference) {
