@@ -6,10 +6,10 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/k7_attack.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
+#include "search/min_defeat.hpp"
 
 int main() {
   using namespace pofl;
@@ -22,7 +22,7 @@ int main() {
     int worst_exact = 0;
     for (const auto& pattern : make_pattern_corpus(RoutingModel::kSourceDestination, k7, 3, 42)) {
       const auto constructive = attack_k7(k7, *pattern, s, t);
-      const auto exact = find_minimum_defeat(k7, *pattern, s, t, 15);
+      const auto exact = min_defeat_search(k7, *pattern, s, t, 15);
       const int cb = constructive ? constructive->defeat.failures.count() : -1;
       const int eb = exact.defeated() ? exact.failures.count() : -1;
       worst_exact = std::max(worst_exact, eb);
@@ -40,7 +40,7 @@ int main() {
     int worst_exact = 0;
     for (const auto& pattern : make_pattern_corpus(RoutingModel::kSourceDestination, k44, 3, 43)) {
       const auto constructive = attack_k44(k44, *pattern, s, t);
-      const auto exact = find_minimum_defeat(k44, *pattern, s, t, 11);
+      const auto exact = min_defeat_search(k44, *pattern, s, t, 11);
       const int cb = constructive ? constructive->defeat.failures.count() : -1;
       const int eb = exact.defeated() ? exact.failures.count() : -1;
       worst_exact = std::max(worst_exact, eb);

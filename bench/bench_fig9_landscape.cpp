@@ -18,7 +18,6 @@
 #include <functional>
 #include <string>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "attacks/touring_attack.hpp"
 #include "graph/builders.hpp"
@@ -27,6 +26,7 @@
 #include "resilience/k5m2_dest.hpp"
 #include "resilience/outerplanar_touring.hpp"
 #include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 #include "sim/sweep_json.hpp"
 
 namespace {
@@ -161,7 +161,7 @@ int main(int argc, char** argv) {
       const auto cell = defeat_cell(
           graph, RoutingModel::kDestinationOnly,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat_any_pair(graph, p, graph.num_edges()).defeated();
+            return min_defeat_search_any_pair(graph, p, graph.num_edges()).defeated();
           },
           log, "destination", name);
       std::printf("  %-35s %s\n", name, cell.c_str());
@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
       const auto cell = defeat_cell(
           k7, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k7, p, 0, 6, 15).defeated();
+            return min_defeat_search(k7, p, 0, 6, 15).defeated();
           },
           log, "source-destination", "K7");
       std::printf("  %-35s %s\n", "K7 (<=15 failures, Cor. 3)", cell.c_str());
@@ -201,7 +201,7 @@ int main(int argc, char** argv) {
       const auto cell = defeat_cell(
           k44, RoutingModel::kSourceDestination,
           [&](const ForwardingPattern& p) {
-            return find_minimum_defeat(k44, p, 0, 7, 11).defeated();
+            return min_defeat_search(k44, p, 0, 7, 11).defeated();
           },
           log, "source-destination", "K4,4");
       std::printf("  %-35s %s\n", "K4,4 (<=11 failures, Cor. 4)", cell.c_str());

@@ -7,11 +7,11 @@
 
 #include <cstdio>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/k7_attack.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
+#include "search/min_defeat.hpp"
 
 int main() {
   using namespace pofl;
@@ -43,7 +43,7 @@ int main() {
 
   std::printf("Ground truth for one pattern: minimum defeating failure set by\n"
               "exhaustive search (Corollary 3 bounds it by 15)...\n");
-  const auto exact = find_minimum_defeat(k7, *corpus[0], s, t, 15);
+  const auto exact = min_defeat_search(k7, *corpus[0], s, t, 15);
   if (exact.defeated()) {
     std::printf("minimum defeat for %s: %d failures\n", corpus[0]->name().c_str(),
                 exact.failures.count());

@@ -78,7 +78,6 @@
 #include <string>
 #include <vector>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "classify/classifier.hpp"
 #include "classify/zoo.hpp"
@@ -90,6 +89,7 @@
 #include "orchestrate/supervisor.hpp"
 #include "resilience/dest_via_touring.hpp"
 #include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 #include "serve/result_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/transport.hpp"
@@ -195,7 +195,7 @@ int cmd_attack(const std::string& path, VertexId s, VertexId t) {
   std::printf("attacking the shortest-path failover pattern on %s, %d -> %d...\n",
               net->name.c_str(), s, t);
   if (g.num_edges() <= 22) {
-    const auto defeat = find_minimum_defeat(g, *pattern, s, t, g.num_edges());
+    const auto defeat = min_defeat_search(g, *pattern, s, t, g.num_edges());
     if (!defeat.defeated()) {
       std::printf("no defeating failure set exists for this pair: the pattern is "
                   "perfectly resilient here.\n");

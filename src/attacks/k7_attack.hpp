@@ -14,17 +14,26 @@
 // attack enumerates every template over every role labeling (the proof's
 // "w.l.o.g." choices) and returns the first candidate that *verifiably*
 // defeats the pattern (simulation + connectivity check). The proofs
-// guarantee a hit; the exhaustive adversary (attacks/exhaustive.hpp) is the
-// independent ground truth used by the tests.
+// guarantee a hit; the exact minimum-defeat search (search/min_defeat.hpp)
+// is the independent ground truth used by the tests.
 
 #include <optional>
 #include <vector>
 
-#include "attacks/exhaustive.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
+#include "routing/simulator.hpp"
 
 namespace pofl {
+
+/// A constructed (not searched) defeat witness, returned by the closed-form
+/// attacks (attack_k7 and friends, attack_r_tolerance).
+struct Defeat {
+  IdSet failures;
+  VertexId source = kNoVertex;
+  VertexId destination = kNoVertex;
+  RoutingResult routing;
+};
 
 struct ConstructiveAttackResult {
   Defeat defeat;

@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <optional>
 
-#include "attacks/exhaustive.hpp"
+#include "attacks/k7_attack.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 

@@ -11,11 +11,11 @@ MinDefeatResult attack_touring(const Graph& g, const ForwardingPattern& pattern)
   // The Lemma 3/4 constructions defeat conforming patterns with <= 2 link
   // failures (Fig. 12: two, Fig. 13: one); non-conforming patterns fall to
   // the Lemma 1 sets, all of which the full-budget search covers.
-  MinDefeatResult defeat = find_minimum_touring_defeat(g, pattern, /*max_budget=*/2);
+  MinDefeatResult defeat = min_touring_defeat_search(g, pattern, /*max_budget=*/2);
   // The bounded search can already prove perfect resilience (every budget
   // prune tracked): no need to rerun at full budget then.
   if (defeat.defeated() || defeat.status == MinDefeatStatus::kPerfectlyResilient) return defeat;
-  return find_minimum_touring_defeat(g, pattern, g.num_edges());
+  return min_touring_defeat_search(g, pattern, g.num_edges());
 }
 
 namespace {

@@ -17,14 +17,14 @@
 
 #include <cstdint>
 
-#include "attacks/exhaustive.hpp"
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
+#include "search/min_defeat.hpp"
 
 namespace pofl {
 
 /// Constructive touring defeat (tries the proof's failure sets over all role
-/// labelings, verified; falls back to the exhaustive adversary). Typed:
+/// labelings, verified; falls back to min_touring_defeat_search). Typed:
 /// .defeated() is the old has_value().
 [[nodiscard]] MinDefeatResult attack_touring(const Graph& g, const ForwardingPattern& pattern);
 

@@ -1,7 +1,7 @@
 #pragma once
 
 // Shared bit-twiddling for exhaustive failure-set enumeration. Both the
-// adversarial searches (attacks/exhaustive) and the sweep engine's
+// minimum-defeat enumerator (search/min_defeat) and the sweep engine's
 // ExhaustiveFailureSource walk all size-k edge subsets in Gosper order; the
 // subtle same-popcount successor and the mask decoding live here once.
 //

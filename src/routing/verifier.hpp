@@ -41,12 +41,11 @@ struct VerifyOptions {
   std::optional<int> min_failures;
   /// Worker threads for the sweep; 0 = hardware concurrency, 1 = inline.
   int num_threads = 0;
-  /// How exhaustive-regime questions are answered: kAuto/kBranchAndBound
-  /// route the pair, all-pairs and r-tolerance finders through
-  /// search/min_defeat (same canonical witness, usually far fewer leaf
-  /// tests); kEnumerate keeps the legacy engine sweep. Finders the search
-  /// cannot express (sampling, min_failures windows, custom promises,
-  /// touring) always use the engine.
+  /// How exhaustive-regime questions are answered: kAuto routes the pair,
+  /// all-pairs and r-tolerance finders through search/min_defeat (same
+  /// canonical witness, usually far fewer leaf tests); kEnumerate keeps the
+  /// legacy engine sweep. Finders the search cannot express (sampling,
+  /// min_failures windows, custom promises, touring) always use the engine.
   SearchStrategy search = SearchStrategy::kAuto;
 };
 

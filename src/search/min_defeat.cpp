@@ -21,8 +21,6 @@ const char* to_string(SearchStrategy s) {
   switch (s) {
     case SearchStrategy::kAuto:
       return "auto";
-    case SearchStrategy::kBranchAndBound:
-      return "branch-and-bound";
     case SearchStrategy::kEnumerate:
       return "enumerate";
   }
@@ -339,9 +337,9 @@ IdSet canonical_pair_witness(SearchCtx& c, VertexId s, VertexId t, int kstar) {
 // ---- legacy enumeration (typed) --------------------------------------------
 
 /// The legacy increasing-|F| Gosper loop for one pair, with the typed
-/// result. Identical test order to attacks/exhaustive, hence the identical
-/// first witness. `cap` may sit below the budget when a fallback search
-/// already holds a verified incumbent of that size.
+/// result: its first witness is the canonical one the search reconstructs.
+/// `cap` may sit below the budget when a fallback search already holds a
+/// verified incumbent of that size.
 void enumerate_pair_into(SearchCtx& c, VertexId s, VertexId t, int cap, MinDefeatResult& out) {
   for (int k = 0; k <= cap && !out.defeated(); ++k) {
     for_each_k_subset(c.g.num_edges(), k, [&](const EdgeMask& mask) {

@@ -3,8 +3,7 @@
 // Minimum-defeat search: the smallest failure set that defeats a forwarding
 // pattern, posed as exact optimization instead of blind enumeration.
 //
-// The legacy finders (attacks/exhaustive) walk every mask in increasing-|F|
-// Gosper order — O(m choose k) leaf tests, a wall right where the 512-edge
+// The legacy finders walked every mask in increasing-|F| Gosper order — O(m choose k) leaf tests, a wall right where the 512-edge
 // EdgeMask opened up larger graphs. This module answers the same question
 // with a best-first branch-and-bound:
 //
@@ -32,11 +31,10 @@
 // reported first. Cross-checked exhaustively in tests/min_defeat_search_test.
 //
 // SearchOptions is the escape hatch: strategy kEnumerate replays the legacy
-// loops (typed result, same order), kAuto / kBranchAndBound run the search —
-// falling back to enumeration automatically for custom promise predicates
-// (anti-monotonicity is not guaranteed for arbitrary PromiseChecks) and when
-// a node cap suggests enumeration would be cheaper (dense graphs with large
-// minima). Every path reports telemetry through the existing JSON writer.
+// loops (typed result, same order), kAuto runs the search — falling back to
+// enumeration automatically for custom promise predicates (anti-monotonicity
+// is not guaranteed for arbitrary PromiseChecks) and when a node cap
+// suggests enumeration would be cheaper (dense graphs with large minima). Every path reports telemetry through the existing JSON writer.
 
 #include <cstdint>
 #include <string>
@@ -52,9 +50,9 @@ namespace pofl {
 class JsonWriter;
 
 enum class SearchStrategy {
-  kAuto,            // branch and bound unless a custom promise forces enumeration
-  kBranchAndBound,  // force the search (still falls back on custom promises)
-  kEnumerate,       // replay the legacy increasing-|F| Gosper enumeration
+  kAuto,       // branch and bound, falling back to enumeration on custom
+               // promises or past the node cap
+  kEnumerate,  // replay the legacy increasing-|F| Gosper enumeration
 };
 
 [[nodiscard]] const char* to_string(SearchStrategy s);
@@ -133,7 +131,8 @@ struct MinDefeatResult {
 
 /// Minimum defeating set for one (source, destination) pair: smallest F with
 /// the promise intact in G\F but the packet not delivered. Exact; witnesses
-/// are bit-identical to the legacy enumerator's.
+/// are bit-identical to the legacy enumerator's. Graphs up to
+/// EdgeMask::kMaxBits edges are accepted (checked, throws).
 [[nodiscard]] MinDefeatResult min_defeat_search(const Graph& g, const ForwardingPattern& pattern,
                                                 VertexId source, VertexId destination,
                                                 int max_budget, const SearchOptions& options = {});

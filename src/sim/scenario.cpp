@@ -4,73 +4,9 @@
 #include <limits>
 #include <stdexcept>
 
-#include "attacks/exhaustive.hpp"
-#include "attacks/pattern_corpus.hpp"
 #include "graph/bitmask.hpp"
 
 namespace pofl {
-
-namespace {
-
-/// Offsets of the group runs (consecutive scenarios with equal failure
-/// sets) in a materialized list, plus the total size as a sentinel — the
-/// group-granular shard partition for corpus and fixed streams.
-std::vector<size_t> compute_group_starts(const std::vector<Scenario>& scenarios) {
-  std::vector<size_t> starts;
-  for (size_t i = 0; i < scenarios.size(); ++i) {
-    if (i == 0 || !(scenarios[i].failures == scenarios[i - 1].failures)) starts.push_back(i);
-  }
-  starts.push_back(scenarios.size());
-  return starts;
-}
-
-/// Streams up to max_batch scenarios of the current shard's partition out
-/// of a materialized list, advancing the (group, offset) cursor (reset
-/// positions it on the shard's first group). Tags stay the canonical list
-/// position, sharded or not.
-int list_next_batch(const std::vector<Scenario>& scenarios, const std::vector<size_t>& starts,
-                    int shard_count, size_t& group, size_t& offset, int max_batch,
-                    ScenarioBatch& out) {
-  out.clear();
-  const size_t num_groups = starts.empty() ? 0 : starts.size() - 1;
-  int appended = 0;
-  while (appended < max_batch && group < num_groups) {
-    const size_t i = starts[group] + offset;
-    out.push_scenario(scenarios[i], i);
-    ++appended;
-    if (++offset == starts[group + 1] - starts[group]) {
-      offset = 0;
-      group += static_cast<size_t>(shard_count);
-    }
-  }
-  return appended;
-}
-
-/// Scenarios the (shard_index, shard_count) partition of the list yields.
-int64_t list_total(const std::vector<size_t>& starts, int shard_index, int shard_count) {
-  const size_t num_groups = starts.empty() ? 0 : starts.size() - 1;
-  int64_t total = 0;
-  for (size_t g = static_cast<size_t>(shard_index); g < num_groups;
-       g += static_cast<size_t>(shard_count)) {
-    total += static_cast<int64_t>(starts[g + 1] - starts[g]);
-  }
-  return total;
-}
-
-/// Canonical list position of the local-th scenario of the partition.
-int64_t list_global_index(const std::vector<size_t>& starts, int shard_index, int shard_count,
-                          int64_t local) {
-  const size_t num_groups = starts.empty() ? 0 : starts.size() - 1;
-  for (size_t g = static_cast<size_t>(shard_index); g < num_groups;
-       g += static_cast<size_t>(shard_count)) {
-    const auto len = static_cast<int64_t>(starts[g + 1] - starts[g]);
-    if (local < len) return static_cast<int64_t>(starts[g]) + local;
-    local -= len;
-  }
-  return -1;  // local is past the end of this shard's stream
-}
-
-}  // namespace
 
 void ScenarioSource::shard(int index, int count) {
   if (count < 1 || index < 0 || index >= count) {
@@ -80,13 +16,6 @@ void ScenarioSource::shard(int index, int count) {
   shard_index_ = index;
   shard_count_ = count;
   reset();
-}
-
-int ScenarioSource::next_batch(int max_batch, std::vector<Scenario>& out) {
-  const int n = next_batch(max_batch, compat_batch_);
-  out.reserve(out.size() + static_cast<size_t>(n));
-  for (int i = 0; i < n; ++i) out.push_back(compat_batch_.scenario(i));
-  return n;
 }
 
 std::vector<std::pair<VertexId, VertexId>> all_ordered_pairs(const Graph& g) {
@@ -345,10 +274,13 @@ std::string SampledFailureSource::name() const {
 void SampledFailureSource::draw_current() {
   // Legacy draw: uniform size k in [0, cap], then k edge ids with
   // replacement — same RNG call sequence as the pre-engine verifier.
+  // An edgeless graph caps k at 0; the edge distribution, whose range would
+  // be empty there, is only built when k > 0 (constructing it draws nothing).
   std::uniform_int_distribution<int> size_dist(0, max_failures_);
-  std::uniform_int_distribution<int> edge_dist(0, g_->num_edges() - 1);
   current_.reset_universe(g_->num_edges());
   const int k = size_dist(rng_);
+  if (k == 0) return;
+  std::uniform_int_distribution<int> edge_dist(0, g_->num_edges() - 1);
   for (int j = 0; j < k; ++j) current_.insert(edge_dist(rng_));
 }
 
@@ -406,64 +338,38 @@ int64_t SampledFailureSource::global_index(int64_t local) const {
   return sample * pairs + local % pairs;
 }
 
-AdversarialCorpusSource::AdversarialCorpusSource(const Graph& g, RoutingModel model,
-                                                 int max_budget, int random_variants,
-                                                 uint64_t seed)
-    : g_(&g), model_(model), max_budget_(max_budget), random_variants_(random_variants),
-      seed_(seed) {}
-
-std::string AdversarialCorpusSource::name() const {
-  return "corpus-defeats<=" + std::to_string(max_budget_);
-}
-
-void AdversarialCorpusSource::mine() {
-  if (mined_) return;
-  mined_ = true;
-  for (const auto& pattern : make_pattern_corpus(model_, *g_, random_variants_, seed_)) {
-    const auto defeat = find_minimum_defeat_any_pair(*g_, *pattern, max_budget_);
-    if (!defeat.defeated()) continue;
-    scenarios_.push_back(Scenario{defeat.failures, defeat.source, defeat.destination});
-    defeated_.push_back(pattern->name());
-  }
-  group_starts_ = compute_group_starts(scenarios_);
-  reset();
-}
-
-const std::vector<std::string>& AdversarialCorpusSource::defeated_patterns() {
-  mine();
-  return defeated_;
-}
-
-int AdversarialCorpusSource::next_batch(int max_batch, ScenarioBatch& out) {
-  mine();
-  return list_next_batch(scenarios_, group_starts_, shard_count(), group_, offset_, max_batch,
-                         out);
-}
-
-void AdversarialCorpusSource::reset() {
-  group_ = static_cast<size_t>(shard_index());
-  offset_ = 0;
-}
-
-int64_t AdversarialCorpusSource::total_hint() const {
-  return mined_ ? list_total(group_starts_, shard_index(), shard_count()) : -1;
-}
-
-int64_t AdversarialCorpusSource::global_index(int64_t local) const {
-  // Valid once the defeats are mined (the first next_batch mines); before
-  // that only the unsharded identity map is known.
-  if (!mined_) return local;
-  return list_global_index(group_starts_, shard_index(), shard_count(), local);
-}
-
 FixedScenarioSource::FixedScenarioSource(std::vector<Scenario> scenarios, std::string name)
-    : scenarios_(std::move(scenarios)),
-      name_(std::move(name)),
-      group_starts_(compute_group_starts(scenarios_)) {}
+    : scenarios_(std::move(scenarios)), name_(std::move(name)) {
+  // Group runs: offsets of consecutive scenarios with equal failure sets,
+  // plus the list size as a sentinel — the unit of the shard partition.
+  for (size_t i = 0; i < scenarios_.size(); ++i) {
+    if (i == 0 || !(scenarios_[i].failures == scenarios_[i - 1].failures)) {
+      group_starts_.push_back(i);
+    }
+  }
+  group_starts_.push_back(scenarios_.size());
+}
+
+size_t FixedScenarioSource::num_groups() const { return group_starts_.size() - 1; }
 
 int FixedScenarioSource::next_batch(int max_batch, ScenarioBatch& out) {
-  return list_next_batch(scenarios_, group_starts_, shard_count(), group_, offset_, max_batch,
-                         out);
+  // Walks this shard's groups (every shard_count()-th run) from the
+  // (group_, offset_) cursor. Tags stay the canonical list position,
+  // sharded or not.
+  out.clear();
+  int appended = 0;
+  while (appended < max_batch && group_ < num_groups()) {
+    const size_t i = group_starts_[group_] + offset_;
+    // A batch boundary in the middle of a run re-opens the group.
+    if (appended == 0 || offset_ == 0) out.start_group(scenarios_[i].failures);
+    out.push(scenarios_[i].source, scenarios_[i].destination, i);
+    ++appended;
+    if (++offset_ == group_starts_[group_ + 1] - group_starts_[group_]) {
+      offset_ = 0;
+      group_ += static_cast<size_t>(shard_count());
+    }
+  }
+  return appended;
 }
 
 void FixedScenarioSource::reset() {
@@ -472,11 +378,22 @@ void FixedScenarioSource::reset() {
 }
 
 int64_t FixedScenarioSource::total_hint() const {
-  return list_total(group_starts_, shard_index(), shard_count());
+  int64_t total = 0;
+  for (size_t g = static_cast<size_t>(shard_index()); g < num_groups();
+       g += static_cast<size_t>(shard_count())) {
+    total += static_cast<int64_t>(group_starts_[g + 1] - group_starts_[g]);
+  }
+  return total;
 }
 
 int64_t FixedScenarioSource::global_index(int64_t local) const {
-  return list_global_index(group_starts_, shard_index(), shard_count(), local);
+  for (size_t g = static_cast<size_t>(shard_index()); g < num_groups();
+       g += static_cast<size_t>(shard_count())) {
+    const auto len = static_cast<int64_t>(group_starts_[g + 1] - group_starts_[g]);
+    if (local < len) return static_cast<int64_t>(group_starts_[g]) + local;
+    local -= len;
+  }
+  return -1;  // local is past the end of this shard's stream
 }
 
 }  // namespace pofl

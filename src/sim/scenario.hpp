@@ -14,11 +14,11 @@
 // failure set share one IdSet in the batch instead of each carrying a copy,
 // and consecutive entries are grouped by failure set, so failure-set-major
 // streams stay failure-set-major all the way into the workers' group promise
-// check and router. The legacy per-Scenario API survives as a thin
-// wrapper (ScenarioSource::next_batch over std::vector<Scenario>) that
-// materializes copies from the same batched production.
+// check and router. The batch is the only way to read a stream;
+// ScenarioBatch::scenario(i) materializes a standalone copy where one is
+// needed (witnesses, tests).
 //
-// Three families cover the experiments in the paper and its §IX outlook:
+// Four families cover the experiments in the paper and its §IX outlook:
 //
 //   * ExhaustiveFailureSource — every failure set with |F| <= k, crossed with
 //     a pair list (the machine-checked positive theorems);
@@ -27,12 +27,13 @@
 //     routing/random_failures) or uniform exactly-k sets (the stretch
 //     experiments), both on the graph/fast_rand draw (xoshiro256** state,
 //     Floyd's algorithm for exact-count sampling, no per-draw heap);
-//   * AdversarialCorpusSource — the minimum defeats mined from the
-//     attacks/pattern_corpus families: a library of known-hostile failure
-//     sets to replay against any pattern.
+//   * SampledFailureSource    — the sampled verifier's refutation
+//     distribution (uniform size, edges drawn with replacement);
+//   * FixedScenarioSource     — a caller-provided list, e.g. a library of
+//     mined defeats to replay against other patterns.
 
+#include <cassert>
 #include <cstdint>
-#include <memory>
 #include <random>
 #include <string>
 #include <utility>
@@ -41,7 +42,6 @@
 #include "graph/bitmask.hpp"
 #include "graph/fast_rand.hpp"
 #include "graph/graph.hpp"
-#include "routing/forwarding.hpp"
 
 namespace pofl {
 
@@ -61,7 +61,7 @@ struct Scenario {
 /// Scenarios are partitioned into consecutive *groups* that share one
 /// failure set: group_of() is non-decreasing over the batch and every group
 /// is non-empty. The per-scenario `tag` is an opaque replay marker chosen by
-/// the source (Gosper mask, draw ordinal, corpus index, ...) — it never
+/// the source (Gosper mask, draw ordinal, list position, ...) — it never
 /// affects simulation, but pins streams in the replay/determinism tests.
 class ScenarioBatch {
  public:
@@ -103,17 +103,6 @@ class ScenarioBatch {
     tag_.push_back(tag);
   }
 
-  /// Appends a materialized Scenario, reusing the open group when its
-  /// failure set matches — so replayed failure-set-major streams (corpus
-  /// defeats, fixed lists) regroup automatically.
-  void push_scenario(const Scenario& sc, uint64_t tag = 0) {
-    if (num_groups_ == 0 ||
-        !(group_failures_[static_cast<size_t>(num_groups_ - 1)] == sc.failures)) {
-      start_group(sc.failures);
-    }
-    push(sc.source, sc.destination, tag);
-  }
-
   // -- consumer side ---------------------------------------------------------
 
   [[nodiscard]] const IdSet& group_failures(int group) const {
@@ -126,7 +115,7 @@ class ScenarioBatch {
   [[nodiscard]] uint64_t tag(int i) const { return tag_[static_cast<size_t>(i)]; }
 
   /// Materializes scenario i as a standalone Scenario (copies the failure
-  /// set) — the compatibility/witness path, not the hot one.
+  /// set) — the witness path, not the hot one.
   [[nodiscard]] Scenario scenario(int i) const {
     return Scenario{failures(i), source(i), destination(i)};
   }
@@ -150,7 +139,7 @@ class ScenarioBatch {
 /// n processes can each sweep one shard and merge the SweepReports into the
 /// bit-identical unsharded result. The partition is group-granular (whole
 /// failure-set groups go to one shard: Gosper masks for the exhaustive
-/// stream, samples for the legacy sampled stream, group runs for corpus and
+/// stream, samples for the legacy sampled stream, group runs for
 /// fixed lists) except for the Monte Carlo stream, which leapfrogs draw
 /// ordinals over skipped xoshiro substates so the union of all shards' draws
 /// reproduces the unsharded draw sequence exactly. Implementations must
@@ -181,11 +170,6 @@ class ScenarioSource {
   /// returns how many were produced, 0 meaning the stream is exhausted.
   virtual int next_batch(int max_batch, ScenarioBatch& out) = 0;
 
-  /// Legacy adapter: appends up to max_batch scenarios to out (materialized
-  /// copies of the batched production above) and returns how many were
-  /// appended; 0 means the stream is exhausted.
-  int next_batch(int max_batch, std::vector<Scenario>& out);
-
   /// Rewinds the stream to the beginning (same sequence again).
   virtual void reset() = 0;
 
@@ -197,7 +181,6 @@ class ScenarioSource {
  private:
   int shard_index_ = 0;
   int shard_count_ = 1;
-  ScenarioBatch compat_batch_;  // reused by the legacy vector adapter
 };
 
 /// All ordered (s, t) pairs with s != t — the default pair universe.
@@ -225,7 +208,6 @@ class ExhaustiveFailureSource final : public ScenarioSource {
                           std::vector<std::pair<VertexId, VertexId>> pairs);
 
   [[nodiscard]] std::string name() const override;
-  using ScenarioSource::next_batch;
   int next_batch(int max_batch, ScenarioBatch& out) override;
   void reset() override;
   [[nodiscard]] int64_t total_hint() const override { return total_scenarios(); }
@@ -272,7 +254,6 @@ class RandomFailureSource final : public ScenarioSource {
       std::vector<std::pair<VertexId, VertexId>> pairs);
 
   [[nodiscard]] std::string name() const override;
-  using ScenarioSource::next_batch;
   int next_batch(int max_batch, ScenarioBatch& out) override;
   void reset() override;
   [[nodiscard]] int64_t total_hint() const override;
@@ -322,7 +303,6 @@ class SampledFailureSource final : public ScenarioSource {
                        std::vector<std::pair<VertexId, VertexId>> pairs);
 
   [[nodiscard]] std::string name() const override;
-  using ScenarioSource::next_batch;
   int next_batch(int max_batch, ScenarioBatch& out) override;
   void reset() override;
   [[nodiscard]] int64_t total_hint() const override;
@@ -346,48 +326,6 @@ class SampledFailureSource final : public ScenarioSource {
   size_t pair_index_ = 0;
 };
 
-/// The minimum defeats of every attacks/pattern_corpus family on g: each
-/// corpus pattern is attacked once (find_minimum_defeat_any_pair, bounded by
-/// max_budget) and the resulting (F, s, t) triples become the scenario
-/// stream. Mining is lazy (first next_batch) and cached across resets, so
-/// replaying the adversarial library against many patterns pays the attack
-/// cost once. Consecutive defeats sharing a failure set share a batch group
-/// (replay tag: the defeat's corpus index).
-class AdversarialCorpusSource final : public ScenarioSource {
- public:
-  AdversarialCorpusSource(const Graph& g, RoutingModel model, int max_budget,
-                          int random_variants = 2, uint64_t seed = 1);
-
-  [[nodiscard]] std::string name() const override;
-  using ScenarioSource::next_batch;
-  int next_batch(int max_batch, ScenarioBatch& out) override;
-  void reset() override;
-  [[nodiscard]] int64_t total_hint() const override;
-  /// Sharding is group-granular over the runs of consecutive equal failure
-  /// sets in the mined defeat list; valid once the corpus is mined (the
-  /// first next_batch mines).
-  [[nodiscard]] int64_t global_index(int64_t local) const override;
-
-  /// Corpus pattern names whose defeat made it into the stream (mines if
-  /// needed). Parallel to the scenario order.
-  [[nodiscard]] const std::vector<std::string>& defeated_patterns();
-
- private:
-  void mine();
-
-  const Graph* g_;
-  RoutingModel model_;
-  int max_budget_;
-  int random_variants_;
-  uint64_t seed_;
-  bool mined_ = false;
-  std::vector<Scenario> scenarios_;
-  std::vector<std::string> defeated_;
-  std::vector<size_t> group_starts_;  // group run offsets + total sentinel
-  size_t group_ = 0;                  // current group ordinal (canonical)
-  size_t offset_ = 0;                 // position inside the current group
-};
-
 /// A fixed, caller-provided scenario list (tests, replaying stored defeats).
 /// Consecutive scenarios sharing a failure set share a batch group (replay
 /// tag: the list position).
@@ -396,7 +334,6 @@ class FixedScenarioSource final : public ScenarioSource {
   explicit FixedScenarioSource(std::vector<Scenario> scenarios, std::string name = "fixed");
 
   [[nodiscard]] std::string name() const override { return name_; }
-  using ScenarioSource::next_batch;
   int next_batch(int max_batch, ScenarioBatch& out) override;
   void reset() override;
   [[nodiscard]] int64_t total_hint() const override;
@@ -405,6 +342,8 @@ class FixedScenarioSource final : public ScenarioSource {
   [[nodiscard]] int64_t global_index(int64_t local) const override;
 
  private:
+  [[nodiscard]] size_t num_groups() const;
+
   std::vector<Scenario> scenarios_;
   std::string name_;
   std::vector<size_t> group_starts_;  // group run offsets + total sentinel

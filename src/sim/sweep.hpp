@@ -5,10 +5,10 @@
 // Every bench used to hand-roll the same triple loop — graphs x failure sets
 // x (source, destination) pairs — around route_packet. The SweepEngine
 // factors that loop out once: a ScenarioSource streams (F, s, t) questions,
-// a worker pool batches them through route_packet / tour_packet, and the
-// per-worker tallies merge into one SweepStats. All counters are integer
-// sums, so the aggregate is identical for 1 and N threads; the floating
-// stretch sums are order-sensitive only in the last ulp.
+// a worker pool routes them batch by batch (route_groups_fast for routing
+// scenarios, tour_packet_fast for touring ones), and the per-worker tallies
+// merge into one SweepStats. Every counter is an integer sum or a max (stretch
+// in Q32 fixed point), so the aggregate is identical for 1 and N threads.
 //
 // Workers pull zero-copy ScenarioBatches: each worker owns one reusable
 // batch that the source refills in place under the producer lock, and the
@@ -38,13 +38,16 @@
 // quantifier families (r-tolerance, distance promises) and is called once
 // per scenario in the same admission loop.
 //
-// Three entry points:
+// Four entry points:
 //   run()                  aggregate tallies (the original mode);
 //   run_report()           the same plus per-(source, destination) breakdowns;
 //   find_first_violation() early-exit verification — stops the pool as soon
 //                          as the earliest violation in the canonical
 //                          scenario order is pinned down, with a result that
-//                          is invariant under the worker-thread count.
+//                          is invariant under the worker-thread count;
+//   find_first_violation_sharded()
+//                          the same over every shard of the source, resolved
+//                          to the identical canonical-order witness.
 
 #include <algorithm>
 #include <cstdint>

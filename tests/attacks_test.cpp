@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/k7_attack.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "attacks/rtolerance_attack.hpp"
@@ -17,6 +16,7 @@
 #include "resilience/ham_touring.hpp"
 #include "resilience/outerplanar_touring.hpp"
 #include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 
 namespace pofl {
 namespace {
@@ -51,14 +51,14 @@ TEST(K7Attack, AlsoDefeatsOnK7MinusStLink) {
 }
 
 TEST(K7Attack, ExhaustiveGroundTruthAgrees) {
-  // The exhaustive adversary must find a defeat at most as large as the
+  // The exact search must find a defeat at most as large as the
   // constructive one, and never fail where the constructive attack works.
   const Graph k7 = make_complete(7);
   const auto pattern = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
   const auto constructive = attack_k7(k7, *pattern, 0, 6);
   ASSERT_TRUE(constructive.has_value());
   const auto exhaustive =
-      find_minimum_defeat(k7, *pattern, 0, 6, constructive->defeat.failures.count());
+      min_defeat_search(k7, *pattern, 0, 6, constructive->defeat.failures.count());
   ASSERT_TRUE(exhaustive.defeated());
   EXPECT_LE(exhaustive.failures.count(), constructive->defeat.failures.count());
 }

@@ -1,18 +1,16 @@
 // Equivalence properties of the zero-copy scenario streaming path.
 //
-// Three contracts pin the ScenarioBatch migration:
-//   * stream identity — every source yields the same (F, s, t) sequence
-//     through the batched API and through the legacy per-Scenario wrapper,
+// Three contracts pin the ScenarioBatch stream:
+//   * stream identity — every source yields the same (F, s, t, tag) sequence
 //     at any batch size, and the batch's group structure is consistent
 //     (group_of non-decreasing, failures(i) == its group's set, consecutive
 //     equal failure sets grouped);
 //   * stats identity — the engine aggregates identical SweepStats whether
-//     scenarios arrive zero-copy or as materialized copies, at 1 and N
-//     threads;
+//     scenarios arrive zero-copy or as materialized copies replayed from a
+//     fixed list, at 1 and N threads;
 //   * reset determinism — after reset() every source replays the exact same
-//     scenario stream (failure sets, pairs, replay tags), including the
-//     mined-defeat cache of AdversarialCorpusSource and stratum-windowed
-//     exhaustive streams;
+//     scenario stream (failure sets, pairs, replay tags), including
+//     stratum-windowed exhaustive streams;
 // plus the fast-Monte-Carlo pin: the in-place draws of graph/fast_rand are
 // sequence-identical to their reference implementations for equal seeds.
 
@@ -67,13 +65,6 @@ std::vector<TaggedScenario> drain_batched(ScenarioSource& source, int batch_size
   return all;
 }
 
-std::vector<Scenario> drain_legacy(ScenarioSource& source, int batch_size) {
-  std::vector<Scenario> all;
-  while (source.next_batch(batch_size, all) > 0) {
-  }
-  return all;
-}
-
 void expect_same_scenario(const Scenario& a, const Scenario& b, const std::string& what,
                           size_t i) {
   EXPECT_EQ(a.failures, b.failures) << what << " scenario " << i;
@@ -107,7 +98,7 @@ struct NamedSource {
 class SourceZoo {
  public:
   SourceZoo()
-      : k4_(make_complete(4)), cycle5_(make_cycle(5)), cycle6_(make_cycle(6)) {
+      : k4_(make_complete(4)), cycle6_(make_cycle(6)) {
     auto add = [this](std::string name, const Graph* g,
                       std::function<std::unique_ptr<ScenarioSource>()> make) {
       sources_.push_back(NamedSource{std::move(name), g, std::move(make)});
@@ -131,11 +122,6 @@ class SourceZoo {
       return std::make_unique<SampledFailureSource>(cycle6_, 3, 11, /*seed=*/2,
                                                     all_ordered_pairs(cycle6_));
     });
-    add("corpus-defeats", &cycle5_, [this] {
-      return std::make_unique<AdversarialCorpusSource>(cycle5_, RoutingModel::kDestinationOnly,
-                                                       /*max_budget=*/2, /*random_variants=*/1,
-                                                       /*seed=*/1);
-    });
     add("fixed-touring", &cycle6_, [this] {
       std::vector<Scenario> fixed;
       IdSet one = cycle6_.empty_edge_set();
@@ -152,7 +138,6 @@ class SourceZoo {
 
  private:
   Graph k4_;
-  Graph cycle5_;
   Graph cycle6_;
   std::vector<NamedSource> sources_;
 };
@@ -160,24 +145,6 @@ class SourceZoo {
 const SourceZoo& source_zoo() {
   static const SourceZoo zoo;
   return zoo;
-}
-
-TEST(BatchStreaming, BatchedAndLegacyWrapperYieldIdenticalStreams) {
-  for (const NamedSource& ns : source_zoo().sources()) {
-    // Odd batch sizes split pair blocks mid-group; 1 forces a group per call.
-    for (const int batch_size : {1, 7, 64}) {
-      auto batched_source = ns.make();
-      auto legacy_source = ns.make();
-      const auto batched = drain_batched(*batched_source, batch_size);
-      const auto legacy = drain_legacy(*legacy_source, batch_size);
-      ASSERT_EQ(batched.size(), legacy.size()) << ns.name << " batch " << batch_size;
-      ASSERT_GT(batched.size(), 0u) << ns.name;
-      for (size_t i = 0; i < batched.size(); ++i) {
-        expect_same_scenario(batched[i].scenario, legacy[i],
-                             ns.name + " b" + std::to_string(batch_size), i);
-      }
-    }
-  }
 }
 
 TEST(BatchStreaming, StreamIsInvariantUnderBatchSize) {
@@ -221,10 +188,14 @@ TEST(BatchStreaming, EngineStatsIdenticalForZeroCopyAndMaterializedStreams) {
       opts.compute_stretch = true;
       return SweepEngine(opts).run(*ns.graph, *pattern, *source);
     };
-    // Materialized: the same stream drained through the legacy wrapper into
-    // standalone Scenario copies, then replayed.
+    // Materialized: the same stream drained into standalone Scenario
+    // copies, then replayed from a fixed list.
     auto drained_source = ns.make();
-    FixedScenarioSource materialized(drain_legacy(*drained_source, 7), ns.name);
+    std::vector<Scenario> copies;
+    for (TaggedScenario& ts : drain_batched(*drained_source, 7)) {
+      copies.push_back(std::move(ts.scenario));
+    }
+    FixedScenarioSource materialized(std::move(copies), ns.name);
     SweepOptions opts1;
     opts1.num_threads = 1;
     opts1.compute_stretch = true;
@@ -236,7 +207,7 @@ TEST(BatchStreaming, EngineStatsIdenticalForZeroCopyAndMaterializedStreams) {
 }
 
 TEST(BatchStreaming, FixedSourceRegroupsConsecutiveEqualFailureSets) {
-  // Replayed streams (fixed lists, corpus defeats) regroup shared failure
+  // Replayed streams (fixed lists, defeat libraries) regroup shared failure
   // sets, so failure-set-major replays hit the promise memo like the
   // structurally grouped sources do.
   const Graph g = make_cycle(6);

@@ -6,10 +6,10 @@
 #include <cassert>
 #include <cstdio>
 
-#include "attacks/exhaustive.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/bitmask.hpp"
 #include "graph/builders.hpp"
+#include "search/min_defeat.hpp"
 #include "sim/scenario.hpp"
 
 #ifndef NDEBUG
@@ -52,9 +52,9 @@ int main() {
   expect_throws(
       [&] {
         const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, big);
-        (void)find_minimum_defeat(big, *pattern, 0, 1, 1);
+        (void)min_defeat_search(big, *pattern, 0, 1, 1);
       },
-      "find_minimum_defeat must throw with NDEBUG");
+      "min_defeat_search must throw with NDEBUG");
   expect_throws(
       [] { for_each_k_subset(EdgeMask::kMaxBits + 1, 1, [](const EdgeMask&) { return false; }); },
       "for_each_k_subset must throw with NDEBUG");

@@ -144,15 +144,14 @@ TEST(ExhaustiveBoundary, EnumerationIsExactAtTheOldWall) {
 
     std::set<std::vector<int>> seen;
     std::set<uint64_t> tags;
-    std::vector<Scenario> batch;
+    ScenarioBatch batch;
     int64_t produced = 0;
-    while (source.next_batch(64, batch) > 0) {
-      for (const Scenario& sc : batch) {
-        EXPECT_LE(sc.failures.count(), 2);
-        seen.insert(sc.failures.to_vector());
+    while (const int n = source.next_batch(64, batch)) {
+      for (int i = 0; i < n; ++i) {
+        EXPECT_LE(batch.failures(i).count(), 2);
+        seen.insert(batch.failures(i).to_vector());
         ++produced;
       }
-      batch.clear();
     }
     EXPECT_EQ(produced, expected) << m;
     EXPECT_EQ(static_cast<int64_t>(seen.size()), expected) << m << ": duplicate failure sets";

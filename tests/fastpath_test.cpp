@@ -121,11 +121,10 @@ TEST(FastPath, ConnectedFastAgreesExhaustivelyOnK33) {
 SweepStats legacy_sweep(const Graph& g, const ForwardingPattern& pattern,
                         ScenarioSource& source) {
   SweepStats stats;
-  std::vector<Scenario> batch;
-  for (;;) {
-    batch.clear();
-    if (source.next_batch(128, batch) == 0) break;
-    for (const Scenario& sc : batch) {
+  ScenarioBatch batch;
+  while (const int n = source.next_batch(128, batch)) {
+    for (int i = 0; i < n; ++i) {
+      const Scenario sc = batch.scenario(i);
       ++stats.total;
       if (sc.destination == kNoVertex) {
         stats.failures_seen += sc.failures.count();

@@ -209,8 +209,7 @@ TEST(MinDefeatStatusTyped, UndefeatablePairIsProvenResilient) {
   // of any size exists, and the search must say *proven*, not "none found".
   const Graph p4 = make_path(4);
   const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, p4);
-  for (const SearchStrategy strategy :
-       {SearchStrategy::kAuto, SearchStrategy::kBranchAndBound, SearchStrategy::kEnumerate}) {
+  for (const SearchStrategy strategy : {SearchStrategy::kAuto, SearchStrategy::kEnumerate}) {
     SearchOptions opts;
     opts.strategy = strategy;
     const auto r = min_defeat_search(p4, *pattern, 0, 3, p4.num_edges(), opts);

@@ -206,13 +206,6 @@ TEST(ShardPartition, SampledSource) {
   check_exact_partition(source, "sampled");
 }
 
-TEST(ShardPartition, CorpusSource) {
-  const Graph k5 = make_complete(5);
-  AdversarialCorpusSource source(k5, RoutingModel::kSourceDestination, /*max_budget=*/4);
-  ASSERT_GT(materialize(source).size(), 0u) << "corpus mined no defeats on K5";
-  check_exact_partition(source, "corpus");
-}
-
 TEST(ShardPartition, FixedSourceWithGroupRuns) {
   const Graph k5 = make_complete(5);
   // Runs of equal failure sets (including a repeat of F0 later in the list,

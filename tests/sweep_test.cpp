@@ -5,6 +5,8 @@
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
 #include "resilience/algorithm1_k5.hpp"
+#include "routing/verifier.hpp"
+#include "search/min_defeat.hpp"
 #include "sim/scenario.hpp"
 
 namespace pofl {
@@ -17,15 +19,24 @@ SweepOptions threads(int n) {
   return opts;
 }
 
+/// Drains `source` from its current position into standalone copies,
+/// `batch_size` scenarios per ScenarioBatch.
+std::vector<Scenario> drain(ScenarioSource& source, int batch_size) {
+  std::vector<Scenario> all;
+  ScenarioBatch batch;
+  while (const int n = source.next_batch(batch_size, batch)) {
+    for (int i = 0; i < n; ++i) all.push_back(batch.scenario(i));
+  }
+  return all;
+}
+
 TEST(ExhaustiveFailureSource, EnumeratesEveryScenarioExactlyOnce) {
   const Graph g = make_complete(4);  // m = 6
   ExhaustiveFailureSource source(g, 2, all_ordered_pairs(g));
   // (C(6,0) + C(6,1) + C(6,2)) failure sets x 12 ordered pairs.
   EXPECT_EQ(source.total_scenarios(), (1 + 6 + 15) * 12);
 
-  std::vector<Scenario> all;
-  while (source.next_batch(5, all) > 0) {
-  }
+  const std::vector<Scenario> all = drain(source, 5);
   EXPECT_EQ(static_cast<int64_t>(all.size()), source.total_scenarios());
   for (const Scenario& sc : all) {
     EXPECT_LE(sc.failures.count(), 2);
@@ -34,9 +45,7 @@ TEST(ExhaustiveFailureSource, EnumeratesEveryScenarioExactlyOnce) {
 
   // reset() replays the identical stream.
   source.reset();
-  std::vector<Scenario> again;
-  while (source.next_batch(64, again) > 0) {
-  }
+  const std::vector<Scenario> again = drain(source, 64);
   ASSERT_EQ(again.size(), all.size());
   for (size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(again[i].failures, all[i].failures);
@@ -48,13 +57,9 @@ TEST(ExhaustiveFailureSource, EnumeratesEveryScenarioExactlyOnce) {
 TEST(RandomFailureSourceContract, ResetReplaysIdenticalExactCountDraws) {
   const Graph g = make_complete(5);
   auto source = RandomFailureSource::exact_count(g, 3, 20, /*seed=*/21, {{0, 4}});
-  std::vector<Scenario> first;
-  while (source.next_batch(8, first) > 0) {
-  }
+  const std::vector<Scenario> first = drain(source, 8);
   source.reset();
-  std::vector<Scenario> second;
-  while (source.next_batch(8, second) > 0) {
-  }
+  const std::vector<Scenario> second = drain(source, 8);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     EXPECT_EQ(first[i].failures, second[i].failures) << "draw " << i;
@@ -64,12 +69,30 @@ TEST(RandomFailureSourceContract, ResetReplaysIdenticalExactCountDraws) {
 TEST(RandomFailureSourceContract, ZeroTrialsIsAnEmptyStream) {
   const Graph g = make_complete(4);
   auto source = RandomFailureSource::iid(g, 0.2, /*trials_per_pair=*/0, 1, all_ordered_pairs(g));
-  std::vector<Scenario> out;
+  ScenarioBatch out;
   EXPECT_EQ(source.next_batch(16, out), 0);
   const SweepStats stats =
       SweepEngine(threads(2)).run(g, *make_id_cyclic_pattern(RoutingModel::kDestinationOnly),
                                   source);
   EXPECT_EQ(stats.total, 0);
+}
+
+TEST(SampledFailureSource, EdgelessGraphYieldsEmptyFailureSets) {
+  // With no edges every draw has |F| = 0, so the edge distribution (whose
+  // range [0, m - 1] would be empty) must never be built.
+  const Graph g(3);
+  const auto pairs = all_ordered_pairs(g);
+  SampledFailureSource source(g, /*max_failures=*/2, /*samples=*/4, /*seed=*/1, pairs);
+  const std::vector<Scenario> all = drain(source, 5);
+  ASSERT_EQ(all.size(), 4 * pairs.size());
+  for (const Scenario& sc : all) EXPECT_TRUE(sc.failures.empty());
+
+  // The sampled refuter on the same graph: every pair is disconnected, so
+  // no scenario keeps the promise and nothing can be a violation.
+  VerifyOptions opts;
+  opts.max_exhaustive_edges = -1;
+  const auto pattern = make_id_cyclic_pattern(RoutingModel::kDestinationOnly);
+  EXPECT_FALSE(find_resilience_violation(g, *pattern, opts).has_value());
 }
 
 TEST(ExhaustiveFailureSource, RejectsGraphsBeyondTheMaskWidth) {
@@ -192,9 +215,7 @@ TEST(ExhaustiveFailureSource, StratumWindowCoversExactlyTheRequestedCardinalitie
   const Graph g = make_complete(4);  // m = 6
   ExhaustiveFailureSource stratum(g, 2, 2, {{0, 1}});
   EXPECT_EQ(stratum.total_scenarios(), 15);  // C(6,2)
-  std::vector<Scenario> all;
-  while (stratum.next_batch(4, all) > 0) {
-  }
+  const std::vector<Scenario> all = drain(stratum, 4);
   ASSERT_EQ(all.size(), 15u);
   for (const Scenario& sc : all) EXPECT_EQ(sc.failures.count(), 2);
 
@@ -202,13 +223,9 @@ TEST(ExhaustiveFailureSource, StratumWindowCoversExactlyTheRequestedCardinalitie
   ExhaustiveFailureSource low(g, 0, 1, {{0, 1}});
   ExhaustiveFailureSource high(g, 2, 3, {{0, 1}});
   ExhaustiveFailureSource full(g, 0, 3, {{0, 1}});
-  std::vector<Scenario> split, whole;
-  while (low.next_batch(8, split) > 0) {
-  }
-  while (high.next_batch(8, split) > 0) {
-  }
-  while (full.next_batch(8, whole) > 0) {
-  }
+  std::vector<Scenario> split = drain(low, 8);
+  for (Scenario& sc : drain(high, 8)) split.push_back(std::move(sc));
+  const std::vector<Scenario> whole = drain(full, 8);
   ASSERT_EQ(split.size(), whole.size());
   for (size_t i = 0; i < whole.size(); ++i) {
     EXPECT_EQ(split[i].failures, whole[i].failures) << i;
@@ -368,20 +385,50 @@ TEST(SweepEngineCustomPromise, PromisePredicateNarrowsTheScenarioSpace) {
   EXPECT_EQ(stats.delivered, 0);
 }
 
-TEST(AdversarialCorpusSource, MinedDefeatsKeepThePromiseAndDefeatTheirPattern) {
+TEST(FixedScenarioSource, MinedCorpusDefeatsReplayAgainstTheirOwnPattern) {
+  // The defeat library of bench_price_of_locality, on C5: every corpus
+  // pattern's minimum any-pair defeat, stored in one FixedScenarioSource.
   const Graph g = make_cycle(5);
-  AdversarialCorpusSource source(g, RoutingModel::kDestinationOnly, /*max_budget=*/2,
-                                 /*random_variants=*/1, /*seed=*/1);
-  const auto& names = source.defeated_patterns();
+  const auto corpus = make_pattern_corpus(RoutingModel::kDestinationOnly, g,
+                                          /*random_variants=*/1, /*seed=*/1);
+  std::vector<Scenario> library;
+  std::vector<const ForwardingPattern*> owners;
+  for (const auto& pattern : corpus) {
+    const MinDefeatResult defeat = min_defeat_search_any_pair(g, *pattern, /*max_budget=*/2);
+    if (!defeat.defeated()) continue;
+    library.push_back(Scenario{defeat.failures, defeat.source, defeat.destination});
+    owners.push_back(pattern.get());
+  }
+  ASSERT_FALSE(library.empty()) << "no corpus pattern is defeated on C5";
+  FixedScenarioSource source(library, "corpus-defeats");
+  const std::vector<Scenario> replayed = drain(source, 3);
+  ASSERT_EQ(replayed.size(), library.size());
 
-  // Replay the mined library against one corpus member: by construction every
-  // scenario keeps its (s, t) connected, so nothing can be promise-broken.
-  const auto pattern = make_id_cyclic_pattern(RoutingModel::kDestinationOnly);
-  source.reset();
-  const SweepStats stats = SweepEngine(threads(1)).run(g, *pattern, source);
-  EXPECT_EQ(stats.total, static_cast<int64_t>(names.size()));
-  EXPECT_EQ(stats.promise_broken, 0);
-  EXPECT_EQ(stats.delivered + stats.looped + stats.dropped + stats.invalid, stats.total);
+  // Each defeat, replayed against the pattern it was mined from, keeps the
+  // promise and is never delivered.
+  const SweepEngine engine(threads(1));
+  for (size_t i = 0; i < replayed.size(); ++i) {
+    EXPECT_EQ(replayed[i].failures, library[i].failures) << i;
+    EXPECT_EQ(replayed[i].source, library[i].source) << i;
+    EXPECT_EQ(replayed[i].destination, library[i].destination) << i;
+    FixedScenarioSource own({replayed[i]});
+    const SweepStats stats = engine.run(g, *owners[i], own);
+    EXPECT_EQ(stats.total, 1) << owners[i]->name();
+    EXPECT_EQ(stats.promise_broken, 0) << owners[i]->name();
+    EXPECT_EQ(stats.delivered, 0) << owners[i]->name();
+  }
+
+  // The pooled library keeps the promise against any pattern, and each
+  // owner fails at least on its own defeat.
+  for (const ForwardingPattern* pattern : owners) {
+    source.reset();
+    const SweepStats stats = engine.run(g, *pattern, source);
+    EXPECT_EQ(stats.total, static_cast<int64_t>(library.size())) << pattern->name();
+    EXPECT_EQ(stats.promise_broken, 0) << pattern->name();
+    EXPECT_EQ(stats.delivered + stats.looped + stats.dropped + stats.invalid, stats.total)
+        << pattern->name();
+    EXPECT_LT(stats.delivered, stats.total) << pattern->name();
+  }
 }
 
 }  // namespace
