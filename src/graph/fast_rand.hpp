@@ -9,17 +9,12 @@
 // with a 4-word xoshiro256** state, a 2^64-scaled integer coin, and Floyd's
 // O(k) algorithm writing straight into a preallocated failure mask — no heap
 // and no locks anywhere. State is held per source (scenario production is
-// serial under the engine's producer lock) or per thread (the Monte Carlo
-// estimators), never shared.
+// serial under the engine's producer lock), never shared.
 //
-// Two caveats the rest of the code relies on:
-//   * the sequences are part of the reproducibility contract: a seed pins
-//     the exact failure sets across platforms (unlike std:: distributions,
-//     which are implementation-defined), which is what lets the golden
-//     sweep-replay baselines be checked into the repo;
-//   * RandomFailureSource, estimate_delivery_rate and measure_stretch must
-//     keep consuming draws in the same order, so equal seeds keep yielding
-//     equal sequences between the sweep engine and the legacy estimators.
+// The sequences are part of the reproducibility contract: a seed pins the
+// exact failure sets across platforms (unlike std:: distributions, which are
+// implementation-defined), which is what lets the golden sweep-replay
+// baselines be checked into the repo.
 //
 // The reference_* functions are the obviously-correct, allocating spellings
 // of the same draws. They consume the generator identically, so the property

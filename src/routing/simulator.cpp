@@ -515,15 +515,6 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
   return tally;
 }
 
-GroupRouteTally route_group_fast(const SimContext& ctx, const ForwardingPattern& pattern,
-                                 const IdSet& failures, const VertexId* sources,
-                                 const VertexId* destinations, int count, RoutingWorkspace& ws,
-                                 FastRouteResult* results) {
-  const IdSet* fsets[1] = {&failures};
-  return route_groups_fast(ctx, pattern, fsets, nullptr, sources, destinations, count, ws,
-                           results);
-}
-
 TourResult tour_packet(const Graph& g, const ForwardingPattern& pattern, const IdSet& failures,
                        VertexId start) {
   const SimContext ctx(g);

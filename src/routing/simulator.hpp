@@ -330,7 +330,7 @@ struct FastRouteResult {
                                                 const IdSet& failures, VertexId source,
                                                 Header header, RoutingWorkspace& ws);
 
-/// Vectorized per-group outcome tallies of route_group_fast: each counter is
+/// Vectorized outcome tallies of route_groups_fast: each counter is
 /// accumulated one popcount per lockstep round, not one increment per packet.
 struct GroupRouteTally {
   int64_t delivered = 0;
@@ -366,13 +366,6 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
                                   const VertexId* sources, const VertexId* destinations,
                                   int count, RoutingWorkspace& ws,
                                   FastRouteResult* results = nullptr);
-
-/// Single-group convenience wrapper over route_groups_fast: all `count`
-/// packets share one failure set.
-GroupRouteTally route_group_fast(const SimContext& ctx, const ForwardingPattern& pattern,
-                                 const IdSet& failures, const VertexId* sources,
-                                 const VertexId* destinations, int count, RoutingWorkspace& ws,
-                                 FastRouteResult* results = nullptr);
 
 struct TourResult {
   /// True iff some prefix of the walk returns to the start after having

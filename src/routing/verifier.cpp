@@ -8,6 +8,7 @@
 
 #include "graph/bitmask.hpp"
 #include "graph/connectivity.hpp"
+#include "search/min_defeat.hpp"
 #include "sim/scenario.hpp"
 #include "sim/sweep.hpp"
 
@@ -54,24 +55,17 @@ constexpr size_t kDistanceCacheEntries = size_t{1} << 16;
                    finding->scenario.destination, finding->routing, finding->tour};
 }
 
-/// Whether the min-defeat search can answer this exhaustive-regime question:
-/// the full increasing-|F| stream from stratum 0 (no min_failures window)
-/// with the default strategy. The search's witness is bit-identical to the
-/// engine's, so callers cannot tell the difference — except in speed.
+/// Whether the min-defeat search answers this exhaustive-regime question:
+/// the full increasing-|F| stream from stratum 0 (no min_failures window).
+/// The search's witness is bit-identical to the engine's, so callers cannot
+/// tell the difference — except in speed.
 [[nodiscard]] bool use_search(const Graph& g, const VerifyOptions& opts) {
-  return use_exhaustive(g, opts) && !opts.min_failures.has_value() &&
-         opts.search != SearchStrategy::kEnumerate;
+  return use_exhaustive(g, opts) && !opts.min_failures.has_value();
 }
 
 [[nodiscard]] std::optional<Violation> violation_from(MinDefeatResult&& r) {
   if (!r.defeated()) return std::nullopt;
   return Violation{std::move(r.failures), r.source, r.destination, std::move(r.routing), {}};
-}
-
-[[nodiscard]] SearchOptions search_options_from(const VerifyOptions& opts) {
-  SearchOptions search_opts;
-  search_opts.strategy = opts.search;
-  return search_opts;
 }
 
 }  // namespace
@@ -82,8 +76,7 @@ std::optional<Violation> find_resilience_violation_for_pair(const Graph& g,
                                                             const VerifyOptions& opts) {
   if (use_search(g, opts)) {
     return violation_from(min_defeat_search(g, pattern, source, destination,
-                                            opts.max_failures.value_or(g.num_edges()),
-                                            search_options_from(opts)));
+                                            opts.max_failures.value_or(g.num_edges())));
   }
   return run_find(g, pattern, opts, {{source, destination}}, nullptr);
 }
@@ -93,7 +86,7 @@ std::optional<Violation> find_resilience_violation(const Graph& g,
                                                    const VerifyOptions& opts) {
   if (use_search(g, opts)) {
     return violation_from(min_defeat_search_any_pair(
-        g, pattern, opts.max_failures.value_or(g.num_edges()), search_options_from(opts)));
+        g, pattern, opts.max_failures.value_or(g.num_edges())));
   }
   return run_find(g, pattern, opts, all_ordered_pairs(g), nullptr);
 }
@@ -105,7 +98,7 @@ std::optional<Violation> find_r_tolerance_violation(const Graph& g,
   // r < 1 would be a vacuous promise, which the search spells differently
   // (its r <= 1 means plain connectivity) — leave that corner to the engine.
   if (use_search(g, opts) && r >= 1) {
-    SearchOptions search_opts = search_options_from(opts);
+    SearchOptions search_opts;
     search_opts.promise_r = r;
     return violation_from(min_defeat_search(g, pattern, source, destination,
                                             opts.max_failures.value_or(g.num_edges()),

@@ -9,13 +9,17 @@
 // machine-checked statement. Larger graphs fall back to stratified random
 // sampling (a sound refuter, not a prover).
 //
-// Every finder here is a thin wrapper over SweepEngine::find_first_violation:
-// the scenario stream (exhaustive in increasing |F|, Gosper order within a
-// stratum, pairs innermost; or the sampled refutation stream) is drained by a
-// worker pool that stops as soon as the earliest violation in stream order is
-// pinned down. The reported violation is deterministic and identical for 1
-// and N worker threads. Exhaustive-regime pair and all-pairs questions go to
-// search/min_defeat instead, which reports the same canonical witness.
+// Every finder reports the earliest violation of one canonical scenario
+// stream: exhaustive in increasing |F|, Gosper order within a stratum, pairs
+// innermost; or, above the exhaustive cutoff, the sampled refutation stream.
+// Two back ends answer it with the same witness:
+//   * search/min_defeat, for the exhaustive pair, all-pairs and r-tolerance
+//     questions over the full stream (no min_failures window) — branch and
+//     bound, usually far fewer leaf tests than the sweep;
+//   * SweepEngine::find_first_violation for everything else (sampling,
+//     min_failures windows, touring, distance promises): a worker pool that
+//     stops as soon as the earliest violation in stream order is pinned
+//     down, identical for 1 and N worker threads.
 
 #include <cstdint>
 #include <optional>
@@ -23,7 +27,6 @@
 #include "graph/graph.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
-#include "search/min_defeat.hpp"
 
 namespace pofl {
 
@@ -39,14 +42,9 @@ struct VerifyOptions {
   /// If set, failure sets smaller than this are skipped (exhaustive mode
   /// only) — incremental budget probes sweep each |F| stratum exactly once.
   std::optional<int> min_failures;
-  /// Worker threads for the sweep; 0 = hardware concurrency, 1 = inline.
+  /// Worker threads for the engine sweeps; 0 = hardware concurrency,
+  /// 1 = inline. Questions answered by search/min_defeat run on one thread.
   int num_threads = 0;
-  /// How exhaustive-regime questions are answered: kAuto routes the pair,
-  /// all-pairs and r-tolerance finders through search/min_defeat (same
-  /// canonical witness, usually far fewer leaf tests); kEnumerate keeps the
-  /// legacy engine sweep. Finders the search cannot express (sampling,
-  /// min_failures windows, custom promises, touring) always use the engine.
-  SearchStrategy search = SearchStrategy::kAuto;
 };
 
 struct Violation {

@@ -1,7 +1,6 @@
 #include "search/min_defeat.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -13,6 +12,8 @@
 #include "graph/bitmask.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/incremental_connectivity.hpp"
+#include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
 #include "sim/sweep_json.hpp"
 
 namespace pofl {
@@ -53,7 +54,7 @@ int lowest_id(const IdSet& s) {
 
 /// Mutable state shared by one search call: simulation context/workspace,
 /// the promise evaluator (custom predicate > r-tolerance min-cut > rollback
-/// union-find, mirroring the legacy finders) and the telemetry counters.
+/// union-find, mirroring the sweep engine's checks) and the telemetry counters.
 struct SearchCtx {
   const Graph& g;
   const ForwardingPattern& pattern;
@@ -80,18 +81,13 @@ struct SearchCtx {
     return inc->connected(s, t);
   }
 
-  /// The exact leaf predicate of the legacy enumerator: promise intact,
-  /// delivery broken.
+  /// The exact leaf predicate of enumeration: promise intact, delivery
+  /// broken.
   bool defeats(VertexId s, VertexId t, const IdSet& f) {
     ++tel.leaves_verified;
     if (!promise_holds(s, t, f)) return false;
     return route_packet_fast(sim, pattern, f, s, Header{s, t}, ws).outcome !=
            RoutingOutcome::kDelivered;
-  }
-
-  bool tour_fails(VertexId start, const IdSet& f) {
-    ++tel.leaves_verified;
-    return !tour_packet_fast(sim, pattern, f, start, ws).success;
   }
 };
 
@@ -183,12 +179,58 @@ struct NodeWorse {
 
 using OpenQueue = std::priority_queue<BnbNode, std::vector<BnbNode>, NodeWorse>;
 
-/// Best-first branch and bound for one (s, t) pair. On return (true),
-/// `best` holds the minimum defeating cardinality within budget (or stays
-/// at infinity when none exists — with c.budget_limited telling whether
-/// that proves perfect resilience). Returns false when the expansion cap
-/// was hit; the caller falls back to enumeration.
-bool bnb_pair_bound(SearchCtx& c, VertexId s, VertexId t, Incumbent& best) {
+/// The pair question: a defeat keeps the promise and breaks delivery. A
+/// delivered packet's cover is every edge incident to its walk — routing is
+/// local, so a failure set agreeing with F on those edges routes identically.
+struct PairQuestion {
+  VertexId s;
+  VertexId t;
+
+  bool promise_holds(SearchCtx& c, const IdSet& f) const { return c.promise_holds(s, t, f); }
+  bool survives(SearchCtx& c, const IdSet& f) const {
+    return route_packet_fast(c.sim, c.pattern, f, s, Header{s, t}, c.ws).outcome ==
+           RoutingOutcome::kDelivered;
+  }
+  /// survives(), recording the walk: on delivery `cover` holds every edge
+  /// incident to it.
+  bool survives(SearchCtx& c, const IdSet& f, IdSet& cover) const {
+    const RoutingResult walk = route_packet(c.sim, c.pattern, f, s, Header{s, t}, c.ws);
+    if (walk.outcome != RoutingOutcome::kDelivered) return false;
+    cover.clear();
+    for (const VertexId v : walk.walk) cover |= c.sim.incident_mask(v);
+    return true;
+  }
+};
+
+/// The touring question for one start: no promise term; a defeat leaves the
+/// start's surviving component untoured. The cover is every edge incident to
+/// the tour or to the vertices it missed (component and tour are invariant
+/// under failure sets that agree on all edges the component can see).
+struct TourQuestion {
+  VertexId start;
+
+  static bool promise_holds(SearchCtx& /*c*/, const IdSet& /*f*/) { return true; }
+  bool survives(SearchCtx& c, const IdSet& f) const {
+    return tour_packet_fast(c.sim, c.pattern, f, start, c.ws).success;
+  }
+  bool survives(SearchCtx& c, const IdSet& f, IdSet& cover) const {
+    const TourResult tour = tour_packet(c.sim, c.pattern, f, start, c.ws);
+    if (!tour.success) return false;
+    cover.clear();
+    for (const VertexId v : tour.walk) cover |= c.sim.incident_mask(v);
+    for (const VertexId v : tour.missed) cover |= c.sim.incident_mask(v);
+    return true;
+  }
+};
+
+/// Best-first branch and bound for one question (a PairQuestion or a
+/// TourQuestion; a template, so the pair hot loop pays no indirection). On
+/// return (true), `best` holds the minimum defeating cardinality within
+/// budget (or stays at infinity when none exists — with c.budget_limited
+/// telling whether that proves perfect resilience). Returns false when the
+/// expansion cap was hit; the caller falls back to enumeration.
+template <class Question>
+bool bnb_bound(SearchCtx& c, const Question& q, Incumbent& best) {
   OpenQueue open;
   int64_t seq = 0;
   open.push(BnbNode{c.g.empty_edge_set(), c.g.empty_edge_set(), 0, seq++});
@@ -210,23 +252,18 @@ bool bnb_pair_bound(SearchCtx& c, VertexId s, VertexId t, Incumbent& best) {
       ++c.tel.pruned_bound;
       break;
     }
-    if (!c.promise_holds(s, t, node.include)) {
+    if (!q.promise_holds(c, node.include)) {
       // Promises are anti-monotone in F: every superset is also broken.
       ++c.tel.pruned_promise;
       continue;
     }
-    const RoutingResult walk = route_packet(c.sim, c.pattern, node.include, s, Header{s, t}, c.ws);
-    if (walk.outcome != RoutingOutcome::kDelivered) {
+    if (!q.survives(c, node.include, cover)) {
       // The include set itself defeats; every other set in the subtree is a
       // strict superset, so this is the subtree's minimum.
       adopt_incumbent(c, best, node.include);
       continue;
     }
-    // Delivered: routing is local, so a failure set agreeing with `include`
-    // on every edge incident to the walk routes identically. Any defeating
-    // superset must therefore hit the free walk-visible cover.
-    cover.clear();
-    for (const VertexId v : walk.walk) cover |= c.sim.incident_mask(v);
+    // Survived: any defeating superset must hit the free part of the cover.
     cover -= node.include;
     cover -= node.exclude;
     if (cover.empty()) {
@@ -240,18 +277,17 @@ bool bnb_pair_bound(SearchCtx& c, VertexId s, VertexId t, Incumbent& best) {
     // One-step lookahead over the cover: include + {e} either breaks the
     // promise (e joins no defeating superset — anti-monotonicity — so its
     // child dies), defeats outright (incumbent at depth + 1, child closed),
-    // or stays delivered — then the child must hit a cover of its own, a
+    // or still survives — then the child must hit a cover of its own, a
     // packing-style lower bound of depth + 2.
     kept.clear();
     for (const int e : cover_ids) {
       probe = node.include;
       probe.insert(e);
-      if (!c.promise_holds(s, t, probe)) {
+      if (!q.promise_holds(c, probe)) {
         ++c.tel.lookahead_excluded;
         continue;
       }
-      if (route_packet_fast(c.sim, c.pattern, probe, s, Header{s, t}, c.ws).outcome !=
-          RoutingOutcome::kDelivered) {
+      if (!q.survives(c, probe)) {
         adopt_incumbent(c, best, probe);
         continue;
       }
@@ -292,22 +328,20 @@ bool bnb_pair_bound(SearchCtx& c, VertexId s, VertexId t, Incumbent& best) {
 /// tried in ascending order, recursing below: that is exactly ascending
 /// numeric order over fixed-popcount masks. Prunes only ever discard
 /// non-defeating completions, so the first accepted leaf is canonical.
-bool canonical_pair_dfs(SearchCtx& c, VertexId s, VertexId t, int remaining, int max_bit,
+bool canonical_pair_dfs(SearchCtx& c, const PairQuestion& q, int remaining, int max_bit,
                         IdSet& include) {
   ++c.tel.canonical_nodes;
-  if (remaining == 0) return c.defeats(s, t, include);
-  if (!c.promise_holds(s, t, include)) {
+  if (remaining == 0) return c.defeats(q.s, q.t, include);
+  if (!q.promise_holds(c, include)) {
     ++c.tel.pruned_promise;
     return false;
   }
   int cover_min = -1;
-  const RoutingResult walk = route_packet(c.sim, c.pattern, include, s, Header{s, t}, c.ws);
-  if (walk.outcome == RoutingOutcome::kDelivered) {
+  IdSet cover = c.g.empty_edge_set();
+  if (q.survives(c, include, cover)) {
     // A defeating completion must fail a free walk-visible edge, and all of
     // its new edges lie at or below the next chosen position p — so p must
     // reach at least the lowest cover id.
-    IdSet cover = c.g.empty_edge_set();
-    for (const VertexId v : walk.walk) cover |= c.sim.incident_mask(v);
     cover -= include;
     cover_min = lowest_id(cover);
     if (cover_min < 0) {
@@ -318,160 +352,46 @@ bool canonical_pair_dfs(SearchCtx& c, VertexId s, VertexId t, int remaining, int
   const int start = std::max(remaining - 1, cover_min);
   for (int p = start; p <= max_bit; ++p) {
     include.insert(p);
-    if (canonical_pair_dfs(c, s, t, remaining - 1, p - 1, include)) return true;
+    if (canonical_pair_dfs(c, q, remaining - 1, p - 1, include)) return true;
     include.erase(p);
   }
   return false;
 }
 
-IdSet canonical_pair_witness(SearchCtx& c, VertexId s, VertexId t, int kstar) {
-  IdSet include = c.g.empty_edge_set();
-  if (!canonical_pair_dfs(c, s, t, kstar, c.g.num_edges() - 1, include)) {
-    // Phase A proved a defeat of size kstar exists; not finding one here
-    // would mean an unsound prune.
-    throw std::logic_error("min_defeat_search: canonical reconstruction failed");
+// ---- enumeration ------------------------------------------------------------
+
+using PairList = std::vector<std::pair<VertexId, VertexId>>;
+
+/// The first defeat in increasing-|F| Gosper order over |F| in [lo, hi],
+/// pairs innermost, under the search's promise: SweepEngine's early-exit
+/// sweep over the exhaustive stream, on one thread. Counts one verified
+/// leaf per mask the sweep reached. Fills `out` and returns true on a
+/// defeat.
+bool enumerate_first_defeat(SearchCtx& c, int lo, int hi, PairList pairs, MinDefeatResult& out) {
+  SweepOptions sweep;
+  sweep.num_threads = 1;
+  if (c.opts.promise || c.opts.promise_r > 1) {
+    // The engine's default check is the plain connectivity promise; any
+    // other runs through the search's own evaluator.
+    sweep.promise = [&c](const Graph& /*g*/, VertexId s, VertexId t, const IdSet& f) {
+      return c.promise_holds(s, t, f);
+    };
   }
-  return include;
-}
-
-// ---- legacy enumeration (typed) --------------------------------------------
-
-/// The legacy increasing-|F| Gosper loop for one pair, with the typed
-/// result: its first witness is the canonical one the search reconstructs.
-/// `cap` may sit below the budget when a fallback search already holds a
-/// verified incumbent of that size.
-void enumerate_pair_into(SearchCtx& c, VertexId s, VertexId t, int cap, MinDefeatResult& out) {
-  for (int k = 0; k <= cap && !out.defeated(); ++k) {
-    for_each_k_subset(c.g.num_edges(), k, [&](const EdgeMask& mask) {
-      const IdSet failures = edge_mask_to_set(c.g, mask);
-      if (!c.defeats(s, t, failures)) return false;
-      out.status = MinDefeatStatus::kDefeated;
-      out.failures = failures;
-      out.routing = route_packet(c.sim, c.pattern, failures, s, Header{s, t}, c.ws);
-      return true;
-    });
-  }
-}
-
-/// Legacy any-pair stratum scan at one cardinality: first mask (Gosper
-/// order) defeating any ordered pair, pairs scanned s-major / t-minor — the
-/// exact legacy loop.
-bool any_pair_stratum_scan(SearchCtx& c, int k, MinDefeatResult& out) {
-  return for_each_k_subset(c.g.num_edges(), k, [&](const EdgeMask& mask) {
-    const IdSet failures = edge_mask_to_set(c.g, mask);
-    ++c.tel.leaves_verified;
-    c.inc->move_to(failures);
-    for (VertexId s = 0; s < c.g.num_vertices(); ++s) {
-      for (VertexId t = 0; t < c.g.num_vertices(); ++t) {
-        if (s == t || !c.inc->connected(s, t)) continue;
-        if (route_packet_fast(c.sim, c.pattern, failures, s, Header{s, t}, c.ws).outcome !=
-            RoutingOutcome::kDelivered) {
-          out.status = MinDefeatStatus::kDefeated;
-          out.failures = failures;
-          out.source = s;
-          out.destination = t;
-          out.routing = route_packet(c.sim, c.pattern, failures, s, Header{s, t}, c.ws);
-          return true;
-        }
-      }
-    }
+  const auto width = static_cast<int64_t>(pairs.size());
+  ExhaustiveFailureSource source(c.g, lo, hi, std::move(pairs));
+  const int64_t total = source.total_scenarios();
+  std::optional<SweepFinding> finding =
+      SweepEngine(sweep).find_first_violation(c.g, c.pattern, source);
+  if (!finding.has_value()) {
+    if (width > 0) c.tel.leaves_verified += total / width;
     return false;
-  });
-}
-
-/// Legacy touring stratum scan at one cardinality: first mask with some
-/// start whose surviving component is not toured, starts in ascending order.
-bool touring_stratum_scan(SearchCtx& c, int k, MinDefeatResult& out) {
-  return for_each_k_subset(c.g.num_edges(), k, [&](const EdgeMask& mask) {
-    const IdSet failures = edge_mask_to_set(c.g, mask);
-    ++c.tel.leaves_verified;
-    for (VertexId v = 0; v < c.g.num_vertices(); ++v) {
-      if (!tour_packet_fast(c.sim, c.pattern, failures, v, c.ws).success) {
-        out.status = MinDefeatStatus::kDefeated;
-        out.failures = failures;
-        out.source = v;
-        out.destination = kNoVertex;
-        return true;
-      }
-    }
-    return false;
-  });
-}
-
-// ---- touring branch and bound ----------------------------------------------
-
-/// Touring phase A for one start. Same skeleton as the pair search; the
-/// cover is every free edge incident to the start's surviving component
-/// (component and tour are invariant under failure sets that agree on all
-/// edges the component can see), and there is no promise term.
-bool bnb_touring_bound(SearchCtx& c, VertexId start, Incumbent& best) {
-  OpenQueue open;
-  int64_t seq = 0;
-  open.push(BnbNode{c.g.empty_edge_set(), c.g.empty_edge_set(), 0, seq++});
-  IdSet cover = c.g.empty_edge_set();
-  IdSet probe = c.g.empty_edge_set();
-  IdSet kept = c.g.empty_edge_set();
-  while (!open.empty()) {
-    const BnbNode node = open.top();
-    open.pop();
-    const int limit = std::min(best.size, c.budget + 1);
-    if (node.lb >= limit) {
-      if (best.size == kInfinity && node.lb > c.budget && node.lb <= c.g.num_edges()) {
-        c.budget_limited = true;
-      }
-      ++c.tel.pruned_bound;
-      break;
-    }
-    const TourResult tour = tour_packet(c.sim, c.pattern, node.include, start, c.ws);
-    if (!tour.success) {
-      adopt_incumbent(c, best, node.include);
-      continue;
-    }
-    cover.clear();
-    for (const VertexId v : tour.walk) cover |= c.sim.incident_mask(v);
-    for (const VertexId v : tour.missed) cover |= c.sim.incident_mask(v);
-    cover -= node.include;
-    cover -= node.exclude;
-    if (cover.empty()) {
-      ++c.tel.pruned_cover;
-      continue;
-    }
-    ++c.tel.nodes_expanded;
-    if (c.opts.node_cap > 0 && c.tel.nodes_expanded > c.opts.node_cap) return false;
-    const int depth = node.include.count();
-    const std::vector<int> cover_ids = cover.to_vector();
-    kept.clear();
-    for (const int e : cover_ids) {
-      probe = node.include;
-      probe.insert(e);
-      if (!tour_packet_fast(c.sim, c.pattern, probe, start, c.ws).success) {
-        adopt_incumbent(c, best, probe);
-        continue;
-      }
-      kept.insert(e);
-    }
-    IdSet child_exclude = node.exclude;
-    for (const int e : cover_ids) {
-      if (kept.contains(e)) {
-        const int child_lb = depth + 2;
-        if (child_lb >= std::min(best.size, c.budget + 1)) {
-          if (best.size == kInfinity && child_lb > c.budget && child_lb <= c.g.num_edges()) {
-            c.budget_limited = true;
-          }
-          ++c.tel.pruned_bound;
-        } else {
-          BnbNode child;
-          child.include = node.include;
-          child.include.insert(e);
-          child.exclude = child_exclude;
-          child.lb = child_lb;
-          child.seq = seq++;
-          open.push(std::move(child));
-        }
-      }
-      child_exclude.insert(e);
-    }
   }
+  c.tel.leaves_verified += finding->index / width + 1;
+  out.status = MinDefeatStatus::kDefeated;
+  out.failures = std::move(finding->scenario.failures);
+  out.source = finding->scenario.source;
+  out.destination = finding->scenario.destination;
+  out.routing = std::move(finding->routing);
   return true;
 }
 
@@ -489,136 +409,135 @@ MinDefeatResult take_result(SearchCtx& c, MinDefeatResult&& out) {
   return std::move(out);
 }
 
-/// Whether branch and bound applies: not explicitly disabled, and the
-/// promise is one the search understands (custom predicates are not
-/// guaranteed anti-monotone — automatic enumerate fallback).
-bool want_bnb(const SearchCtx& c) {
-  return c.opts.strategy != SearchStrategy::kEnumerate && !c.opts.promise;
-}
-
-MinDefeatResult run_pair(SearchCtx& c, VertexId s, VertexId t) {
-  MinDefeatResult out;
-  out.source = s;
-  out.destination = t;
-  out.budget = c.budget;
-  c.tel.root_min_cut = edge_connectivity(c.g, s, t, c.g.empty_edge_set());
-  if (!want_bnb(c)) {
-    c.tel.strategy =
-        c.opts.strategy == SearchStrategy::kEnumerate ? "enumerate" : "enumerate-fallback";
-    enumerate_pair_into(c, s, t, c.budget, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
-    return take_result(c, std::move(out));
-  }
+/// The driver the three searches share. `bound(best)` runs phase A and
+/// returns false at the node cap; `canonical(k*, out)` reconstructs the
+/// witness once phase A proved the optimum. Enumeration over `pairs` answers
+/// when branch and bound does not apply (kEnumerate, or a custom promise,
+/// which need not be anti-monotone) or gave up at the node cap. It needs no
+/// cap from an incumbent: a verified defeat of size k stops it at |F| <= k.
+template <class Bound, class Canonical>
+MinDefeatResult drive(SearchCtx& c, MinDefeatResult out, PairList pairs, Bound&& bound,
+                      Canonical&& canonical) {
   Incumbent best;
-  seed_pair_incumbents(c, s, t, best);
-  if (!bnb_pair_bound(c, s, t, best)) {
-    // Node cap hit: the cover branching is degenerating (dense graph, large
-    // minimum). Enumeration bounded by the incumbent is exact and cheaper.
+  if (c.opts.strategy == SearchStrategy::kEnumerate) {
+    c.tel.strategy = "enumerate";
+  } else if (c.opts.promise || !bound(best)) {
     c.tel.strategy = "enumerate-fallback";
-    const int cap = best.size == kInfinity ? c.budget : best.size;
-    enumerate_pair_into(c, s, t, cap, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
+  } else {
+    c.tel.strategy = "branch-and-bound";
+    if (best.size == kInfinity) {
+      finish_no_defeat(c, out, !c.budget_limited);
+    } else {
+      canonical(best.size, out);
+    }
     return take_result(c, std::move(out));
   }
-  c.tel.strategy = "branch-and-bound";
-  if (best.size == kInfinity) {
-    finish_no_defeat(c, out, !c.budget_limited);
-    return take_result(c, std::move(out));
+  if (!enumerate_first_defeat(c, 0, c.budget, std::move(pairs), out)) {
+    finish_no_defeat(c, out, c.budget >= c.g.num_edges());
   }
-  out.status = MinDefeatStatus::kDefeated;
-  out.failures = canonical_pair_witness(c, s, t, best.size);
-  out.routing = route_packet(c.sim, c.pattern, out.failures, s, Header{s, t}, c.ws);
   return take_result(c, std::move(out));
 }
 
-MinDefeatResult run_any_pair(SearchCtx& c) {
-  MinDefeatResult out;
-  out.budget = c.budget;
-  if (!want_bnb(c)) {
-    c.tel.strategy =
-        c.opts.strategy == SearchStrategy::kEnumerate ? "enumerate" : "enumerate-fallback";
-    for (int k = 0; k <= c.budget && !out.defeated(); ++k) any_pair_stratum_scan(c, k, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
-    return take_result(c, std::move(out));
+/// Canonical witness of the all-pairs and touring searches: the enumeration
+/// restricted to the proven optimum stratum — canonical by construction.
+void canonical_by_stratum(SearchCtx& c, const PairList& pairs, int kstar, MinDefeatResult& out) {
+  if (!enumerate_first_defeat(c, kstar, kstar, pairs, out)) {
+    // Phase A proved a defeat of size kstar exists; not finding one here
+    // would mean an unsound prune.
+    throw std::logic_error("min_defeat: canonical reconstruction failed");
   }
-  Incumbent best;
-  if (c.opts.upper_bound_candidates != nullptr) {
-    for (const IdSet& f : *c.opts.upper_bound_candidates) {
-      if (f.universe_size() != c.g.num_edges()) continue;
-      if (f.count() > c.budget || f.count() >= best.size) continue;
-      for (VertexId s = 0; s < c.g.num_vertices(); ++s) {
-        for (VertexId t = 0; t < c.g.num_vertices(); ++t) {
-          if (s != t && c.defeats(s, t, f)) {
-            adopt_incumbent(c, best, f);
-            s = c.g.num_vertices();
-            break;
+}
+
+MinDefeatResult run_pair(SearchCtx& c, MinDefeatResult out) {
+  const PairQuestion q{out.source, out.destination};
+  c.tel.root_min_cut = edge_connectivity(c.g, q.s, q.t, c.g.empty_edge_set());
+  return drive(
+      c, std::move(out), {{q.s, q.t}},
+      [&](Incumbent& best) {
+        seed_pair_incumbents(c, q.s, q.t, best);
+        return bnb_bound(c, q, best);
+      },
+      [&](int kstar, MinDefeatResult& result) {
+        IdSet include = c.g.empty_edge_set();
+        if (!canonical_pair_dfs(c, q, kstar, c.g.num_edges() - 1, include)) {
+          throw std::logic_error("min_defeat: canonical reconstruction failed");
+        }
+        result.status = MinDefeatStatus::kDefeated;
+        result.failures = std::move(include);
+        result.routing = route_packet(c.sim, c.pattern, result.failures, q.s, Header{q.s, q.t},
+                                      c.ws);
+      });
+}
+
+MinDefeatResult run_any_pair(SearchCtx& c, MinDefeatResult out) {
+  const PairList pairs = all_ordered_pairs(c.g);
+  return drive(
+      c, std::move(out), pairs,
+      [&](Incumbent& best) {
+        if (c.opts.upper_bound_candidates != nullptr) {
+          for (const IdSet& f : *c.opts.upper_bound_candidates) {
+            if (f.universe_size() != c.g.num_edges()) continue;
+            if (f.count() > c.budget || f.count() >= best.size) continue;
+            for (const auto& [s, t] : pairs) {
+              if (c.defeats(s, t, f)) {
+                adopt_incumbent(c, best, f);
+                break;
+              }
+            }
           }
         }
-      }
-    }
-  }
-  bool complete = true;
-  for (VertexId s = 0; s < c.g.num_vertices() && complete; ++s) {
-    for (VertexId t = 0; t < c.g.num_vertices() && complete; ++t) {
-      if (s == t) continue;
-      if (c.opts.seed_incumbents) {
-        greedy_walk_cut(c, s, t, false, best);
-        greedy_walk_cut(c, s, t, true, best);
-      }
-      complete = bnb_pair_bound(c, s, t, best);
-    }
-  }
-  if (!complete) {
-    c.tel.strategy = "enumerate-fallback";
-    const int cap = best.size == kInfinity ? c.budget : best.size;
-    for (int k = 0; k <= cap && !out.defeated(); ++k) any_pair_stratum_scan(c, k, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
-    return take_result(c, std::move(out));
-  }
-  c.tel.strategy = "branch-and-bound";
-  if (best.size == kInfinity) {
-    finish_no_defeat(c, out, !c.budget_limited);
-    return take_result(c, std::move(out));
-  }
-  // Canonical witness: the legacy scan restricted to the proven optimum
-  // stratum — canonical by construction, and bounded by one stratum.
-  if (!any_pair_stratum_scan(c, best.size, out)) {
-    throw std::logic_error("min_defeat_search_any_pair: canonical reconstruction failed");
-  }
-  return take_result(c, std::move(out));
+        for (const auto& [s, t] : pairs) {
+          if (c.opts.seed_incumbents) {
+            greedy_walk_cut(c, s, t, false, best);
+            greedy_walk_cut(c, s, t, true, best);
+          }
+          if (!bnb_bound(c, PairQuestion{s, t}, best)) return false;
+        }
+        return true;
+      },
+      [&](int kstar, MinDefeatResult& result) { canonical_by_stratum(c, pairs, kstar, result); });
 }
 
-MinDefeatResult run_touring(SearchCtx& c) {
-  MinDefeatResult out;
-  out.budget = c.budget;
-  const bool bnb = c.opts.strategy != SearchStrategy::kEnumerate;
-  if (!bnb) {
-    c.tel.strategy = "enumerate";
-    for (int k = 0; k <= c.budget && !out.defeated(); ++k) touring_stratum_scan(c, k, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
-    return take_result(c, std::move(out));
+MinDefeatResult run_touring(SearchCtx& c, MinDefeatResult out) {
+  const PairList starts = all_touring_starts(c.g);
+  return drive(
+      c, std::move(out), starts,
+      [&](Incumbent& best) {
+        for (const auto& start : starts) {
+          if (!bnb_bound(c, TourQuestion{start.first}, best)) return false;
+        }
+        return true;
+      },
+      [&](int kstar, MinDefeatResult& result) { canonical_by_stratum(c, starts, kstar, result); });
+}
+
+/// The entry the three public searches share: checks the edge capacity,
+/// answers a negative budget without searching, else runs `run` on a fresh
+/// context with the budget clamped to the edge count.
+template <class Run>
+MinDefeatResult enter(const char* who, const Graph& g, const ForwardingPattern& pattern,
+                      int max_budget, const SearchOptions& options, MinDefeatResult out,
+                      Run&& run) {
+  EdgeMask::check_capacity(g.num_edges(), who);
+  const int budget = std::min(max_budget, g.num_edges());
+  if (budget < 0) {
+    out.budget = max_budget;
+    out.telemetry.strategy = "none";
+    return out;
   }
-  Incumbent best;
-  bool complete = true;
-  for (VertexId v = 0; v < c.g.num_vertices() && complete; ++v) {
-    complete = bnb_touring_bound(c, v, best);
-  }
-  if (!complete) {
-    c.tel.strategy = "enumerate-fallback";
-    const int cap = best.size == kInfinity ? c.budget : best.size;
-    for (int k = 0; k <= cap && !out.defeated(); ++k) touring_stratum_scan(c, k, out);
-    if (!out.defeated()) finish_no_defeat(c, out, c.budget >= c.g.num_edges());
-    return take_result(c, std::move(out));
-  }
-  c.tel.strategy = "branch-and-bound";
-  if (best.size == kInfinity) {
-    finish_no_defeat(c, out, !c.budget_limited);
-    return take_result(c, std::move(out));
-  }
-  if (!touring_stratum_scan(c, best.size, out)) {
-    throw std::logic_error("min_touring_defeat_search: canonical reconstruction failed");
-  }
-  return take_result(c, std::move(out));
+  out.budget = budget;
+  SearchCtx c(g, pattern, options, budget);
+  return run(c, std::move(out));
+}
+
+/// The any-pair and touring searches keep their own defeat notions (same
+/// surviving component / no promise at all): custom promises and
+/// r-tolerance apply to the pair search only.
+SearchOptions without_promise(const SearchOptions& options) {
+  SearchOptions normalized = options;
+  normalized.promise = nullptr;
+  normalized.promise_r = 1;
+  return normalized;
 }
 
 }  // namespace
@@ -626,56 +545,22 @@ MinDefeatResult run_touring(SearchCtx& c) {
 MinDefeatResult min_defeat_search(const Graph& g, const ForwardingPattern& pattern,
                                   VertexId source, VertexId destination, int max_budget,
                                   const SearchOptions& options) {
-  EdgeMask::check_capacity(g.num_edges(), "min_defeat_search");
-  const int budget = std::min(max_budget, g.num_edges());
-  if (budget < 0) {
-    MinDefeatResult out;
-    out.source = source;
-    out.destination = destination;
-    out.budget = max_budget;
-    out.telemetry.strategy = "none";
-    return out;
-  }
-  SearchCtx c(g, pattern, options, budget);
-  return run_pair(c, source, destination);
+  MinDefeatResult out;
+  out.source = source;
+  out.destination = destination;
+  return enter("min_defeat_search", g, pattern, max_budget, options, std::move(out), run_pair);
 }
 
 MinDefeatResult min_defeat_search_any_pair(const Graph& g, const ForwardingPattern& pattern,
                                            int max_budget, const SearchOptions& options) {
-  EdgeMask::check_capacity(g.num_edges(), "min_defeat_search_any_pair");
-  const int budget = std::min(max_budget, g.num_edges());
-  if (budget < 0) {
-    MinDefeatResult out;
-    out.budget = max_budget;
-    out.telemetry.strategy = "none";
-    return out;
-  }
-  // The any-pair defeat notion is the legacy one: same surviving component,
-  // delivery broken. Custom promises / r-tolerance apply to the pair search
-  // only.
-  SearchOptions normalized = options;
-  normalized.promise = nullptr;
-  normalized.promise_r = 1;
-  SearchCtx c(g, pattern, normalized, budget);
-  return run_any_pair(c);
+  return enter("min_defeat_search_any_pair", g, pattern, max_budget, without_promise(options),
+               MinDefeatResult{}, run_any_pair);
 }
 
 MinDefeatResult min_touring_defeat_search(const Graph& g, const ForwardingPattern& pattern,
                                           int max_budget, const SearchOptions& options) {
-  EdgeMask::check_capacity(g.num_edges(), "min_touring_defeat_search");
-  const int budget = std::min(max_budget, g.num_edges());
-  if (budget < 0) {
-    MinDefeatResult out;
-    out.budget = max_budget;
-    out.telemetry.strategy = "none";
-    return out;
-  }
-  // Touring defeat has no promise term at all.
-  SearchOptions normalized = options;
-  normalized.promise = nullptr;
-  normalized.promise_r = 1;
-  SearchCtx c(g, pattern, normalized, budget);
-  return run_touring(c);
+  return enter("min_touring_defeat_search", g, pattern, max_budget, without_promise(options),
+               MinDefeatResult{}, run_touring);
 }
 
 std::vector<IdSet> corpus_upper_bound_candidates(const Graph& g, RoutingModel model,

@@ -3,9 +3,10 @@
 // Minimum-defeat search: the smallest failure set that defeats a forwarding
 // pattern, posed as exact optimization instead of blind enumeration.
 //
-// The legacy finders walked every mask in increasing-|F| Gosper order — O(m choose k) leaf tests, a wall right where the 512-edge
-// EdgeMask opened up larger graphs. This module answers the same question
-// with a best-first branch-and-bound:
+// Enumeration walks every mask in increasing-|F| Gosper order — O(m choose k)
+// leaf tests, a wall right where the 512-edge EdgeMask opened up larger
+// graphs. This module answers the same question with a best-first
+// branch-and-bound:
 //
 //   * Branch on include/exclude of candidate edges. A node is a pair (I, X):
 //     every failure set in its subtree contains all of I and none of X.
@@ -17,24 +18,31 @@
 //     (routing is local: a failure set that agrees with I on every edge the
 //     walk can see routes identically), which both restricts branching to
 //     that incident "cover" and, via a one-step lookahead over the cover,
-//     yields a packing-style +2 lower bound per delivered child.
+//     yields a packing-style +2 lower bound per delivered child. The touring
+//     search runs the same skeleton per start, with no promise term and the
+//     cover widened to the vertices the tour missed.
 //   * Seed incumbents from cheap upper bounds: greedy walk-cutting probes
 //     and defeats mined from the attacks/pattern_corpus patterns.
-//   * Verify candidate leaves exactly as the enumerator does —
+//   * Verify candidate leaves exactly as the sweep engine does —
 //     IncrementalConnectivity for the promise, route_packet_fast for the
 //     delivery check.
 //
-// The search is exact, and its witness is *bit-identical* to the
-// enumerator's: once branch and bound has proved the optimum cardinality k*,
-// a second canonical pass reconstructs the numerically smallest defeating
-// mask of size k* — the very mask the increasing-|F| Gosper walk would have
-// reported first. Cross-checked exhaustively in tests/min_defeat_search_test.
+// The search is exact, and its witness is *bit-identical* to enumeration's:
+// once branch and bound has proved the optimum cardinality k*, a canonical
+// pass reconstructs the numerically smallest defeating mask of size k* — the
+// very mask the increasing-|F| Gosper walk reports first (a depth-first
+// reconstruction for one pair; for all pairs and touring, the enumeration
+// of the stratum |F| = k* alone). Cross-checked exhaustively in
+// tests/min_defeat_search_test.
 //
-// SearchOptions is the escape hatch: strategy kEnumerate replays the legacy
-// loops (typed result, same order), kAuto runs the search — falling back to
-// enumeration automatically for custom promise predicates (anti-monotonicity
-// is not guaranteed for arbitrary PromiseChecks) and when a node cap
-// suggests enumeration would be cheaper (dense graphs with large minima). Every path reports telemetry through the existing JSON writer.
+// Enumeration itself is SweepEngine::find_first_violation over an
+// ExhaustiveFailureSource, on one thread. SearchOptions picks it: strategy
+// kEnumerate enumerates outright (same witness, telemetry counts one leaf
+// per mask tested); kAuto runs the search — falling back to enumeration for
+// custom promise predicates (anti-monotonicity is not guaranteed for
+// arbitrary PromiseChecks) and when a node cap suggests enumeration would be
+// cheaper (dense graphs with large minima). Every path reports telemetry
+// through the existing JSON writer.
 
 #include <cstdint>
 #include <string>
@@ -52,7 +60,7 @@ class JsonWriter;
 enum class SearchStrategy {
   kAuto,       // branch and bound, falling back to enumeration on custom
                // promises or past the node cap
-  kEnumerate,  // replay the legacy increasing-|F| Gosper enumeration
+  kEnumerate,  // increasing-|F| Gosper enumeration on the sweep engine
 };
 
 [[nodiscard]] const char* to_string(SearchStrategy s);
@@ -68,8 +76,8 @@ enum class MinDefeatStatus {
 struct SearchOptions {
   SearchStrategy strategy = SearchStrategy::kAuto;
   /// Promised edge tolerance: defeat requires edge_connectivity(G\F, s, t)
-  /// >= r. r = 1 is the plain connectivity promise of the legacy finders.
-  /// Pair search only — the any-pair and touring searches keep their legacy
+  /// >= r. r = 1 is plain s-t connectivity, the verifier's default promise.
+  /// Pair search only — the any-pair and touring searches keep their own
   /// defeat notions (same surviving component / no promise at all).
   int promise_r = 1;
   /// Custom promise predicate: a defeat is a failure set with the promise
@@ -95,9 +103,10 @@ struct SearchOptions {
 /// Search counters, reported through the JSON writer. All counters are
 /// deterministic for a given (graph, pattern, options) input.
 struct SearchTelemetry {
-  std::string strategy;          // "branch-and-bound", "enumerate", "enumerate-fallback"
+  std::string strategy;          // "branch-and-bound", "enumerate", "enumerate-fallback",
+                                 // "none" (negative budget)
   int64_t nodes_expanded = 0;    // branch-and-bound nodes popped and branched
-  int64_t leaves_verified = 0;   // full defeat tests (promise + routing)
+  int64_t leaves_verified = 0;   // full defeat tests; one per mask when enumerating
   int64_t pruned_bound = 0;      // subtrees cut by incumbent/budget bound
   int64_t pruned_promise = 0;    // subtrees cut: promise already broken at I
   int64_t pruned_cover = 0;      // subtrees cut: delivered walk with empty cover
@@ -121,7 +130,7 @@ struct MinDefeatResult {
   VertexId source = kNoVertex;
   VertexId destination = kNoVertex;  // kNoVertex for touring defeats
   /// Witness walk, re-simulated with the walk-recording core (empty for
-  /// touring defeats, as in the legacy finder).
+  /// touring defeats).
   RoutingResult routing;
   int budget = 0;
   SearchTelemetry telemetry;
@@ -131,14 +140,14 @@ struct MinDefeatResult {
 
 /// Minimum defeating set for one (source, destination) pair: smallest F with
 /// the promise intact in G\F but the packet not delivered. Exact; witnesses
-/// are bit-identical to the legacy enumerator's. Graphs up to
+/// are bit-identical to enumeration's. Graphs up to
 /// EdgeMask::kMaxBits edges are accepted (checked, throws).
 [[nodiscard]] MinDefeatResult min_defeat_search(const Graph& g, const ForwardingPattern& pattern,
                                                 VertexId source, VertexId destination,
                                                 int max_budget, const SearchOptions& options = {});
 
 /// Minimum defeating set over all ordered (s, t) pairs, witness pair chosen
-/// in the legacy scan order (s-major, t-minor).
+/// in scan order (s-major, t-minor).
 [[nodiscard]] MinDefeatResult min_defeat_search_any_pair(const Graph& g,
                                                          const ForwardingPattern& pattern,
                                                          int max_budget,

@@ -6,9 +6,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstring>
+#include <list>
 #include <memory>
 #include <optional>
+#include <thread>
 #include <utility>
 
 #include "graph/bitmask.hpp"
@@ -381,7 +384,25 @@ void SweepServer::forget_connection(int fd) {
 }
 
 void SweepServer::run() {
-  std::vector<std::thread> handlers;
+  // One thread per connection. A finished handler is joined at the next
+  // accept: an unjoined thread keeps its stack mapped, so a client that
+  // connects and hangs up in a loop would otherwise exhaust the address
+  // space and abort the daemon.
+  struct Handler {
+    std::thread thread;
+    std::atomic<bool> done{false};
+  };
+  std::list<Handler> handlers;
+  const auto reap_finished = [&handlers] {
+    for (auto it = handlers.begin(); it != handlers.end();) {
+      if (it->done.load(std::memory_order_acquire)) {
+        it->thread.join();
+        it = handlers.erase(it);
+      } else {
+        ++it;
+      }
+    }
+  };
   while (!stop_requested()) {
     pollfd pfd{};
     pfd.fd = listen_fd_;
@@ -401,7 +422,12 @@ void SweepServer::run() {
       std::lock_guard<std::mutex> lock(conn_mutex_);
       conn_fds_.push_back(fd);
     }
-    handlers.emplace_back([this, fd] { serve_connection(fd); });
+    reap_finished();
+    Handler& handler = handlers.emplace_back();
+    handler.thread = std::thread([this, fd, &handler] {
+      serve_connection(fd);
+      handler.done.store(true, std::memory_order_release);
+    });
   }
   // Stop accepting, then unblock every connection read so handlers drain.
   close(listen_fd_);
@@ -410,7 +436,7 @@ void SweepServer::run() {
     std::lock_guard<std::mutex> lock(conn_mutex_);
     for (const int fd : conn_fds_) shutdown(fd, SHUT_RDWR);
   }
-  for (std::thread& t : handlers) t.join();
+  for (Handler& h : handlers) h.thread.join();
 }
 
 }  // namespace pofl

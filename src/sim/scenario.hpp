@@ -23,10 +23,10 @@
 //   * ExhaustiveFailureSource — every failure set with |F| <= k, crossed with
 //     a pair list (the machine-checked positive theorems);
 //   * RandomFailureSource     — Monte Carlo draws, either i.i.d. per-link
-//     probability p (the §IX random-failure regime, matching
-//     routing/random_failures) or uniform exactly-k sets (the stretch
-//     experiments), both on the graph/fast_rand draw (xoshiro256** state,
-//     Floyd's algorithm for exact-count sampling, no per-draw heap);
+//     probability p (the §IX random-failure regime) or uniform exactly-k
+//     sets (the stretch experiments), both on the graph/fast_rand draw
+//     (xoshiro256** state, Floyd's algorithm for exact-count sampling, no
+//     per-draw heap);
 //   * SampledFailureSource    — the sampled verifier's refutation
 //     distribution (uniform size, edges drawn with replacement);
 //   * FixedScenarioSource     — a caller-provided list, e.g. a library of
@@ -240,10 +240,8 @@ class ExhaustiveFailureSource final : public ScenarioSource {
 /// Draws ride graph/fast_rand (xoshiro256** per-source state, integer coin,
 /// Floyd's exact-count sampling) straight into the batch's group IdSets —
 /// no per-draw heap, and sequences that are identical across platforms for
-/// a fixed seed. estimate_delivery_rate and measure_stretch consume the
-/// same primitives in the same order, so equal seeds still yield equal
-/// failure sets between the engine and the legacy estimators. Each draw is
-/// its own batch group (replay tag: the draw ordinal).
+/// a fixed seed. Each draw is its own batch group (replay tag: the draw
+/// ordinal).
 class RandomFailureSource final : public ScenarioSource {
  public:
   [[nodiscard]] static RandomFailureSource iid(const Graph& g, double p, int trials_per_pair,

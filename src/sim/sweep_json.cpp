@@ -1,5 +1,6 @@
 #include "sim/sweep_json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdio>
@@ -533,6 +534,82 @@ bool stats_from_json(const JsonValue& obj, SweepStats& out, std::string* error) 
           fail_parse(error, "missing or invalid 'max_stretch'"));
 }
 
+/// The integer counters of a stats block, by JSON key.
+struct StatsCounter {
+  const char* key;
+  int64_t SweepStats::*field;
+};
+constexpr StatsCounter kStatsCounters[] = {
+    {"total", &SweepStats::total},
+    {"promise_broken", &SweepStats::promise_broken},
+    {"delivered", &SweepStats::delivered},
+    {"looped", &SweepStats::looped},
+    {"dropped", &SweepStats::dropped},
+    {"invalid", &SweepStats::invalid},
+    {"failures_seen", &SweepStats::failures_seen},
+    {"hops_delivered", &SweepStats::hops_delivered},
+    {"stretch_samples", &SweepStats::stretch_samples},
+    {"stretch_sum_q32", &SweepStats::stretch_sum_q32},
+};
+
+/// Rejects a stats block the engine cannot have written: a negative
+/// counter, outcomes that do not add up to the promise-holding scenarios,
+/// or more stretch samples than deliveries. `where` names the block
+/// (" in totals", " in per_pair row 3").
+bool check_stats(const SweepStats& st, const std::string& where, std::string* error) {
+  for (const StatsCounter& c : kStatsCounters) {
+    if (st.*c.field < 0) return fail_parse(error, std::string("negative '") + c.key + "'" + where);
+  }
+  if (st.max_stretch < 0) return fail_parse(error, "negative 'max_stretch'" + where);
+  const std::string outcomes_sum = "'delivered' + 'looped' + 'dropped' + 'invalid'";
+  int64_t outcomes = 0;
+  if (__builtin_add_overflow(st.delivered, st.looped, &outcomes) ||
+      __builtin_add_overflow(outcomes, st.dropped, &outcomes) ||
+      __builtin_add_overflow(outcomes, st.invalid, &outcomes)) {
+    return fail_parse(error, outcomes_sum + " overflows int64" + where);
+  }
+  if (outcomes != st.total - st.promise_broken) {
+    return fail_parse(error, outcomes_sum + " = " + std::to_string(outcomes) +
+                                 " but 'total' - 'promise_broken' = " +
+                                 std::to_string(st.total - st.promise_broken) + where);
+  }
+  if (st.stretch_samples > st.delivered) {
+    return fail_parse(error, "'stretch_samples' exceeds 'delivered'" + where);
+  }
+  return true;
+}
+
+/// Rejects per-pair rows that do not fold into the totals: every integer
+/// counter sums exactly (an int64 overflow is an error; the Q32 stretch sum
+/// saturates as the engine's merge does) and max_stretch is the rows' max.
+bool check_rows_fold_to_totals(const SweepReport& report, std::string* error) {
+  SweepStats sum;
+  for (size_t i = 0; i < report.per_pair.size(); ++i) {
+    const SweepStats& row = report.per_pair[i].stats;
+    for (const StatsCounter& c : kStatsCounters) {
+      if (c.field == &SweepStats::stretch_sum_q32) continue;
+      if (__builtin_add_overflow(sum.*c.field, row.*c.field, &(sum.*c.field))) {
+        return fail_parse(error, std::string("'") + c.key +
+                                     "' overflows int64 summed up to per_pair row " +
+                                     std::to_string(i));
+      }
+    }
+    sum.stretch_sum_q32 = SweepStats::saturating_add(sum.stretch_sum_q32, row.stretch_sum_q32);
+    sum.max_stretch = std::max(sum.max_stretch, row.max_stretch);
+  }
+  for (const StatsCounter& c : kStatsCounters) {
+    if (sum.*c.field != report.totals.*c.field) {
+      return fail_parse(error, std::string("per_pair rows sum to '") + c.key + "' = " +
+                                   std::to_string(sum.*c.field) + " but totals say " +
+                                   std::to_string(report.totals.*c.field));
+    }
+  }
+  if (sum.max_stretch != report.totals.max_stretch) {
+    return fail_parse(error, "totals 'max_stretch' is not the max over the per_pair rows");
+  }
+  return true;
+}
+
 /// Reads an array of small non-negative ints (the incomplete-block lists).
 bool read_int_array(const JsonValue& value, std::vector<int>& out) {
   if (value.kind != JsonValue::Kind::kArray) return false;
@@ -684,7 +761,10 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
     fail_parse(error, "missing 'totals'");
     return std::nullopt;
   }
-  if (!stats_from_json(*totals, report.totals, error)) return std::nullopt;
+  if (!stats_from_json(*totals, report.totals, error) ||
+      !check_stats(report.totals, " in totals", error)) {
+    return std::nullopt;
+  }
   const JsonValue* rows = root.find("per_pair");
   if (rows == nullptr || rows->kind != JsonValue::Kind::kArray) {
     fail_parse(error, "missing or invalid 'per_pair'");
@@ -726,7 +806,11 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
                  (stats == nullptr ? std::string("missing 'stats'") : stats_error) + where);
       return std::nullopt;
     }
+    if (!check_stats(pair.stats, where, error)) return std::nullopt;
     report.per_pair.push_back(std::move(pair));
+  }
+  if (!report.per_pair.empty() && !check_rows_fold_to_totals(report, error)) {
+    return std::nullopt;
   }
   return report;
 }

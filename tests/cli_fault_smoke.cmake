@@ -16,8 +16,9 @@
 #      parameters, or over a graph file overwritten in place, is rejected
 #      by the checkpoint.meta guard;
 #   4. diagnostics and flag validation — merge names the file, shard, and
-#      byte offset of a truncated input; supervision flags without --procs
-#      and malformed POFL_FAULT specs are hard errors.
+#      byte offset of a truncated input, and the field of a well-formed
+#      report whose counters do not add up; supervision flags without
+#      --procs and malformed POFL_FAULT specs are hard errors.
 #
 # Usage: cmake -DPOFL_CLI=<exe> -DBASELINE=<json> -DWORK_DIR=<dir>
 #              -P cli_fault_smoke.cmake
@@ -149,6 +150,20 @@ expect_contains("${cli_err}" "byte offset 200" "truncated-input diagnostic")
 file(WRITE "${WORK_DIR}/empty.json" "")
 run_cli(FALSE - merge "${WORK_DIR}/empty.json")
 expect_contains("${cli_err}" "empty file (0 bytes)" "empty-input diagnostic")
+# A well-formed report with one counter off (the K5 golden report with its
+# total "looped":0 turned into 7) names the counter.
+get_filename_component(baseline_dir "${BASELINE}" DIRECTORY)
+file(READ "${baseline_dir}/sweep_k5_exhaustive.json" k5_bytes)
+string(FIND "${k5_bytes}" "\"looped\":0" looped_at)
+if(looped_at EQUAL -1)
+  message(FATAL_ERROR "sweep_k5_exhaustive.json has no \"looped\":0 to corrupt")
+endif()
+string(SUBSTRING "${k5_bytes}" 0 ${looped_at} k5_head)
+math(EXPR k5_tail_at "${looped_at} + 10")
+string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
+file(WRITE "${WORK_DIR}/miscounted.json" "${k5_head}\"looped\":7${k5_tail}")
+run_cli(FALSE - merge "${WORK_DIR}/miscounted.json")
+expect_contains("${cli_err}" "'looped'" "miscounted-report diagnostic")
 
 # 4b. Flag validation: supervision flags require --procs; malformed
 # POFL_FAULT specs are hard worker errors, not silent no-ops.

@@ -5,17 +5,19 @@
 #      leaves here) with the default branch-and-bound strategy, checking the
 #      JSON — status, canonical witness and the full telemetry block —
 #      bit-for-bit against tests/baselines/cli_min_defeat_fattree.json;
-#   2. re-solve an easy pair with --enumerate and --budget to exercise both
-#      escape hatches end to end;
+#   2. re-solve an easy pair with --enumerate and --budget, checking its JSON
+#      (witness and the leaves_verified mask count) bit-for-bit against
+#      tests/baselines/cli_min_defeat_enumerate.json, and run two more pairs;
 #   3. regression-check the argument validation: malformed pairs, unknown
 #      patterns, bad seeds, out-of-range budgets and out-of-range vertex ids
 #      must all be rejected.
 #
-# Usage: cmake -DPOFL_CLI=<exe> -DBASELINE=<json> -DWORK_DIR=<dir>
-#              -P cli_min_defeat_smoke.cmake
+# Usage: cmake -DPOFL_CLI=<exe> -DBASELINE=<json> -DENUM_BASELINE=<json>
+#              -DWORK_DIR=<dir> -P cli_min_defeat_smoke.cmake
 
-if(NOT POFL_CLI OR NOT BASELINE OR NOT WORK_DIR)
-  message(FATAL_ERROR "need -DPOFL_CLI=..., -DBASELINE=... and -DWORK_DIR=...")
+if(NOT POFL_CLI OR NOT BASELINE OR NOT ENUM_BASELINE OR NOT WORK_DIR)
+  message(FATAL_ERROR
+          "need -DPOFL_CLI=..., -DBASELINE=..., -DENUM_BASELINE=... and -DWORK_DIR=...")
 endif()
 
 set(GRAPH "${WORK_DIR}/zoo/synth-fattree-k6-45-108.graphml")
@@ -47,8 +49,15 @@ if(NOT golden STREQUAL produced)
   message(FATAL_ERROR "min-defeat --json bytes differ from the checked-in baseline")
 endif()
 
-# 2. Escape hatches: forced enumeration and an explicit budget both run.
-run_cli(TRUE min-defeat "${GRAPH}" shortest-path 0,9 --enumerate --budget 3)
+# 2. Escape hatches: forced enumeration under an explicit budget, bit-exact
+#    against its golden baseline; then two more pairs.
+run_cli(TRUE min-defeat "${GRAPH}" shortest-path 0,9 --enumerate --budget 3
+        --json "${WORK_DIR}/enumerate.json")
+file(READ "${ENUM_BASELINE}" golden)
+file(READ "${WORK_DIR}/enumerate.json" produced)
+if(NOT golden STREQUAL produced)
+  message(FATAL_ERROR "min-defeat --enumerate --json bytes differ from ${ENUM_BASELINE}")
+endif()
 run_cli(TRUE min-defeat "${GRAPH}" id-cyclic 0,44)
 run_cli(TRUE min-defeat "${GRAPH}" random-cyclic:7 0,1 --budget 2)
 

@@ -1,5 +1,5 @@
 // Group-parallel routing conformance: the lockstep word-packed core
-// (route_group_fast / route_groups_fast) must be bit-identical — outcome and
+// (route_groups_fast) must be bit-identical — outcome and
 // hop count per packet, and every tally — to route_packet_fast, exhaustively
 // over the canonical benchmark workloads; and the SweepEngine must reproduce
 // a per-scenario reference SweepReport exactly at 1 and N threads, across
@@ -108,7 +108,7 @@ void expect_reports_equal(const SweepReport& a, const SweepReport& b, const char
   }
 }
 
-/// Routes every (mask, pair) scenario once through route_group_fast (one
+/// Routes every (mask, pair) scenario once through route_groups_fast (one
 /// call per failure set, all pairs lockstep) and once through
 /// route_packet_fast, asserting bit-identical per-packet results and that
 /// the tally is the exact fold of those results.
@@ -128,8 +128,9 @@ void expect_group_equivalence_exhaustive(
   const uint64_t limit = uint64_t{1} << g.num_edges();
   for (uint64_t mask = 0; mask < limit; ++mask) {
     const IdSet failures = edge_mask_to_set(g, mask);
-    const GroupRouteTally tally = route_group_fast(ctx, pattern, failures, src.data(), dst.data(),
-                                                   count, group_ws, results.data());
+    const IdSet* fsets[1] = {&failures};
+    const GroupRouteTally tally = route_groups_fast(ctx, pattern, fsets, nullptr, src.data(),
+                                                    dst.data(), count, group_ws, results.data());
     GroupRouteTally refold;
     for (int i = 0; i < count; ++i) {
       const FastRouteResult scalar =
@@ -264,8 +265,9 @@ TEST(GroupRoutesFast, FatTreeWideGraphSingleFailureStratum) {
     strata.push_back(std::move(f));
   }
   for (const IdSet& failures : strata) {
-    (void)route_group_fast(ctx, *pattern, failures, src.data(), dst.data(),
-                           static_cast<int>(src.size()), group_ws, results.data());
+    const IdSet* fsets[1] = {&failures};
+    (void)route_groups_fast(ctx, *pattern, fsets, nullptr, src.data(), dst.data(),
+                            static_cast<int>(src.size()), group_ws, results.data());
     for (size_t i = 0; i < src.size(); ++i) {
       const FastRouteResult scalar =
           route_packet_fast(ctx, *pattern, failures, src[i], Header{src[i], dst[i]}, scalar_ws);

@@ -13,13 +13,18 @@
 //   * Typed statuses — kPerfectlyResilient vs kNoDefeatWithinBudget replace
 //     the old ambiguous nullopt; regressions pin both on an undefeatable
 //     pair and on budget-truncated searches.
-//   * Verifier identity — the find_* fast paths answer exactly what the
-//     engine sweep answers, at 1 and N threads, including r-tolerance.
+//   * Verifier identity — the find_* fast paths answer exactly what
+//     SweepEngine::find_first_violation answers over the same exhaustive
+//     stream, at 1 and N threads, including r-tolerance.
+//   * Telemetry pins — whole JSON objects of the enumeration fallbacks and
+//     the any-pair and touring searches, byte for byte.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,6 +38,9 @@
 #include "resilience/outerplanar_touring.hpp"
 #include "routing/verifier.hpp"
 #include "search/min_defeat.hpp"
+#include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
+#include "sim/sweep_json.hpp"
 
 namespace pofl {
 namespace {
@@ -321,6 +329,108 @@ TEST(MinDefeatTouring, OuterplanarTourIsResilientBothWays) {
   expect_identical(bnb, en, "touring resilience proof");
 }
 
+// ---- telemetry pins ----------------------------------------------------------
+// Whole min-defeat JSON objects (status, witness, telemetry), byte for byte,
+// of the paths that enumerate — the node-cap and custom-promise fallbacks,
+// forced enumeration, r-tolerance, and the any-pair and touring searches with
+// their single-stratum canonical passes. leaves_verified counts masks
+// tested, so a change in where an enumeration starts, stops or counts shows
+// up here.
+
+/// One labelled min-defeat JSON object per case: the fallback, any-pair and
+/// touring paths, each through both strategies where the strategy matters.
+std::vector<std::pair<std::string, std::string>> telemetry_cases() {
+  std::vector<std::pair<std::string, std::string>> out;
+  const auto record = [&out](const std::string& label, const MinDefeatResult& r, const Graph& g) {
+    JsonWriter w;
+    append_json(w, r, g);
+    out.emplace_back(label, w.str());
+  };
+  SearchOptions enumerate;
+  enumerate.strategy = SearchStrategy::kEnumerate;
+
+  const Graph k5 = make_complete(5);
+  const auto id_cyclic = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
+  SearchOptions capped;
+  capped.node_cap = 1;
+  record("k5 id-cyclic 0,4 node_cap=1", min_defeat_search(k5, *id_cyclic, 0, 4, 10, capped), k5);
+  record("k5 id-cyclic 0,4 enumerate", min_defeat_search(k5, *id_cyclic, 0, 4, 10, enumerate), k5);
+  SearchOptions custom;
+  custom.promise = [](const Graph& graph, VertexId s, VertexId t, const IdSet& f) {
+    return connected(graph, s, t, f);
+  };
+  record("k5 id-cyclic 0,4 custom promise",
+         min_defeat_search(k5, *id_cyclic, 0, 4, 10, custom), k5);
+  SearchOptions r2 = enumerate;
+  r2.promise_r = 2;
+  record("k5 id-cyclic 0,4 r=2 enumerate", min_defeat_search(k5, *id_cyclic, 0, 4, 10, r2), k5);
+
+  const Graph k4 = make_complete(4);
+  for (const auto& p : make_pattern_corpus(RoutingModel::kSourceDestination, k4, 1, 5)) {
+    record("k4 any-pair " + p->name() + " auto", min_defeat_search_any_pair(k4, *p, 6), k4);
+    record("k4 any-pair " + p->name() + " enumerate",
+           min_defeat_search_any_pair(k4, *p, 6, enumerate), k4);
+  }
+
+  const Graph c5 = make_cycle(5);
+  const auto outerplanar = make_outerplanar_touring(c5);
+  record("c5 touring outerplanar auto", min_touring_defeat_search(c5, *outerplanar, 5), c5);
+  record("c5 touring outerplanar enumerate",
+         min_touring_defeat_search(c5, *outerplanar, 5, enumerate), c5);
+  const auto tour_cyclic = make_id_cyclic_pattern(RoutingModel::kTouring);
+  record("k4 touring id-cyclic auto", min_touring_defeat_search(k4, *tour_cyclic, 6), k4);
+  record("k4 touring id-cyclic enumerate",
+         min_touring_defeat_search(k4, *tour_cyclic, 6, enumerate), k4);
+  return out;
+}
+
+TEST(MinDefeatTelemetry, EnumeratedPathsReproduceRecordedJson) {
+  const std::pair<const char*, const char*> expected[] = {
+      {"k5 id-cyclic 0,4 node_cap=1",
+       R"({"status":"defeated","budget":10,"cardinality":5,"source":0,"destination":4,"failures":[2,3,6,7,8],"failed_links":[[0,3],[0,4],[1,4],[2,3],[2,4]],"outcome":"looped","hops":4,"telemetry":{"strategy":"enumerate-fallback","nodes_expanded":2,"leaves_verified":503,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[5],"proved_bound":5,"root_min_cut":4}})"},
+      {"k5 id-cyclic 0,4 enumerate",
+       R"({"status":"defeated","budget":10,"cardinality":5,"source":0,"destination":4,"failures":[2,3,6,7,8],"failed_links":[[0,3],[0,4],[1,4],[2,3],[2,4]],"outcome":"looped","hops":4,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":503,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":5,"root_min_cut":4}})"},
+      {"k5 id-cyclic 0,4 custom promise",
+       R"({"status":"defeated","budget":10,"cardinality":5,"source":0,"destination":4,"failures":[2,3,6,7,8],"failed_links":[[0,3],[0,4],[1,4],[2,3],[2,4]],"outcome":"looped","hops":4,"telemetry":{"strategy":"enumerate-fallback","nodes_expanded":0,"leaves_verified":503,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":5,"root_min_cut":4}})"},
+      {"k5 id-cyclic 0,4 r=2 enumerate",
+       R"({"status":"perfectly-resilient","budget":10,"cardinality":-1,"source":0,"destination":4,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":1024,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":11,"root_min_cut":4}})"},
+      {"k4 any-pair id-cyclic auto",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":236,"leaves_verified":0,"pruned_bound":0,"pruned_promise":0,"pruned_cover":148,"lookahead_excluded":102,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair id-cyclic enumerate",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":64,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair shortest-path-rotor auto",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":236,"leaves_verified":0,"pruned_bound":0,"pruned_promise":0,"pruned_cover":148,"lookahead_excluded":102,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair shortest-path-rotor enumerate",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":64,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair bounce-shy-shortest-path auto",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":236,"leaves_verified":0,"pruned_bound":0,"pruned_promise":0,"pruned_cover":148,"lookahead_excluded":102,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair bounce-shy-shortest-path enumerate",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":64,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair random-cyclic auto",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":236,"leaves_verified":0,"pruned_bound":0,"pruned_promise":0,"pruned_cover":148,"lookahead_excluded":102,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair random-cyclic enumerate",
+       R"({"status":"perfectly-resilient","budget":6,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":64,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":7,"root_min_cut":-1}})"},
+      {"k4 any-pair random-stateless auto",
+       R"({"status":"defeated","budget":6,"cardinality":2,"source":0,"destination":3,"failures":[2,5],"failed_links":[[0,3],[2,3]],"outcome":"looped","hops":3,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":20,"leaves_verified":13,"pruned_bound":72,"pruned_promise":0,"pruned_cover":2,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[3,2],"proved_bound":2,"root_min_cut":-1}})"},
+      {"k4 any-pair random-stateless enumerate",
+       R"({"status":"defeated","budget":6,"cardinality":2,"source":0,"destination":3,"failures":[2,5],"failed_links":[[0,3],[2,3]],"outcome":"looped","hops":3,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":20,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":2,"root_min_cut":-1}})"},
+      {"c5 touring outerplanar auto",
+       R"({"status":"perfectly-resilient","budget":5,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":57,"leaves_verified":0,"pruned_bound":2,"pruned_promise":0,"pruned_cover":71,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":6,"root_min_cut":-1}})"},
+      {"c5 touring outerplanar enumerate",
+       R"({"status":"perfectly-resilient","budget":5,"cardinality":-1,"source":-1,"destination":-1,"failures":[],"failed_links":[],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":32,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":6,"root_min_cut":-1}})"},
+      {"k4 touring id-cyclic auto",
+       R"({"status":"defeated","budget":6,"cardinality":1,"source":1,"destination":-1,"failures":[1],"failed_links":[[0,2]],"outcome":null,"hops":null,"telemetry":{"strategy":"branch-and-bound","nodes_expanded":5,"leaves_verified":2,"pruned_bound":19,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[2,1],"proved_bound":1,"root_min_cut":-1}})"},
+      {"k4 touring id-cyclic enumerate",
+       R"({"status":"defeated","budget":6,"cardinality":1,"source":1,"destination":-1,"failures":[1],"failed_links":[[0,2]],"outcome":null,"hops":null,"telemetry":{"strategy":"enumerate","nodes_expanded":0,"leaves_verified":3,"pruned_bound":0,"pruned_promise":0,"pruned_cover":0,"lookahead_excluded":0,"canonical_nodes":0,"incumbent_trajectory":[],"proved_bound":1,"root_min_cut":-1}})"},
+  };
+  const auto cases = telemetry_cases();
+  ASSERT_EQ(cases.size(), std::size(expected));
+  for (size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(cases[i].first, expected[i].first);
+    EXPECT_EQ(cases[i].second, expected[i].second) << cases[i].first;
+  }
+}
+
 // ---- verifier identity -------------------------------------------------------
 
 void expect_same_violation(const std::optional<Violation>& a, const std::optional<Violation>& b,
@@ -333,22 +443,34 @@ void expect_same_violation(const std::optional<Violation>& a, const std::optiona
   EXPECT_EQ(a->routing.outcome, b->routing.outcome) << what;
 }
 
+/// The engine's answer to the same question: the first violation of the
+/// full exhaustive stream over `pairs` under `promise` (default: s-t
+/// connectivity).
+std::optional<Violation> engine_violation(const Graph& g, const ForwardingPattern& pattern,
+                                          std::vector<std::pair<VertexId, VertexId>> pairs,
+                                          int threads, PromiseCheck promise = nullptr) {
+  SweepOptions opts;
+  opts.num_threads = threads;
+  opts.promise = std::move(promise);
+  ExhaustiveFailureSource source(g, g.num_edges(), std::move(pairs));
+  const auto finding = SweepEngine(opts).find_first_violation(g, pattern, source);
+  if (!finding.has_value()) return std::nullopt;
+  return Violation{finding->scenario.failures, finding->scenario.source,
+                   finding->scenario.destination, finding->routing, finding->tour};
+}
+
 TEST(MinDefeatVerifier, PairFinderMatchesEngineAtOneAndFourThreads) {
   const Graph k5 = make_complete(5);
   const auto defeatable = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
   const auto resilient = make_algorithm1_k5();
   for (const int threads : {1, 4}) {
-    VerifyOptions engine;
-    engine.search = SearchStrategy::kEnumerate;
-    engine.num_threads = threads;
     VerifyOptions search;
     search.num_threads = threads;
     expect_same_violation(find_resilience_violation_for_pair(k5, *defeatable, 0, 4, search),
-                          find_resilience_violation_for_pair(k5, *defeatable, 0, 4, engine),
+                          engine_violation(k5, *defeatable, {{0, 4}}, threads),
                           "defeatable pair");
     expect_same_violation(find_resilience_violation_for_pair(k5, *resilient, 0, 4, search),
-                          find_resilience_violation_for_pair(k5, *resilient, 0, 4, engine),
-                          "resilient pair");
+                          engine_violation(k5, *resilient, {{0, 4}}, threads), "resilient pair");
     EXPECT_FALSE(find_resilience_violation_for_pair(k5, *resilient, 0, 4, search).has_value());
   }
 }
@@ -356,13 +478,10 @@ TEST(MinDefeatVerifier, PairFinderMatchesEngineAtOneAndFourThreads) {
 TEST(MinDefeatVerifier, AllPairsFinderMatchesEngine) {
   const Graph k4 = make_complete(4);
   for (const auto& p : make_pattern_corpus(RoutingModel::kSourceDestination, k4, 1, 17)) {
-    VerifyOptions engine;
-    engine.search = SearchStrategy::kEnumerate;
-    engine.num_threads = 1;
     VerifyOptions search;
     search.num_threads = 1;
     expect_same_violation(find_resilience_violation(k4, *p, search),
-                          find_resilience_violation(k4, *p, engine), p->name().c_str());
+                          engine_violation(k4, *p, all_ordered_pairs(k4), 1), p->name().c_str());
   }
 }
 
@@ -370,13 +489,14 @@ TEST(MinDefeatVerifier, RToleranceFinderMatchesEngine) {
   const Graph k5 = make_complete(5);
   const auto pattern = make_id_cyclic_pattern(RoutingModel::kSourceDestination);
   for (const int r : {1, 2, 3}) {
-    VerifyOptions engine;
-    engine.search = SearchStrategy::kEnumerate;
-    engine.num_threads = 1;
     VerifyOptions search;
     search.num_threads = 1;
+    const PromiseCheck r_tolerance = [r](const Graph& g, VertexId s, VertexId t,
+                                         const IdSet& f) {
+      return edge_connectivity(g, s, t, f) >= r;
+    };
     expect_same_violation(find_r_tolerance_violation(k5, *pattern, 0, 4, r, search),
-                          find_r_tolerance_violation(k5, *pattern, 0, 4, r, engine),
+                          engine_violation(k5, *pattern, {{0, 4}}, 1, r_tolerance),
                           ("r=" + std::to_string(r)).c_str());
   }
 }

@@ -417,6 +417,41 @@ std::string roundtrip(int fd, const std::string& request) {
   return response;
 }
 
+/// Lines of /proc/self/maps: one per mapping of this process, so a thread
+/// stack that is never released shows up as a new line.
+int mapping_count() {
+  std::ifstream maps("/proc/self/maps");
+  int lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ServeSocket, SequentialConnectionsDoNotAccumulateHandlers) {
+  // Each connection runs on its own handler thread. A finished handler must
+  // be joined while the daemon runs, not at shutdown: an unjoined thread
+  // keeps its stack mapped (two mappings per connection), so a client that
+  // connects, pings and hangs up in a loop would grow the daemon until
+  // thread creation fails and it aborts.
+  SweepServer server(k33_opts());
+  register_k33(server);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  const int port = server.port();
+  std::thread daemon([&server] { server.run(); });
+
+  const int before = mapping_count();
+  for (int i = 0; i < 3000; ++i) {
+    const int fd = connect_loopback(port);
+    ASSERT_EQ(roundtrip(fd, "{\"cmd\":\"ping\"}"), "{\"ok\":true,\"pong\":true}") << i;
+    close(fd);
+  }
+  const int after = mapping_count();
+  EXPECT_LT(after - before, 200) << before << " mappings before, " << after << " after";
+
+  server.stop();
+  daemon.join();
+}
+
 TEST(ServeSocket, ConcurrentTcpClientsShutdownCleanly) {
   SweepServer server(k33_opts());
   register_k33(server);

@@ -22,6 +22,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -481,6 +482,62 @@ TEST(ShardJson, GoldenBaselinesRoundTrip) {
     ASSERT_TRUE(parsed.has_value()) << name;
     EXPECT_EQ(to_json(*parsed), body) << name;
   }
+}
+
+TEST(ShardJson, CountersTheEngineCannotWriteAreRejected) {
+  // Well-formed JSON whose counters no sweep can produce — a torn or
+  // bit-flipped shard — must not merge into a wrong answer. Each rejection
+  // names the field and the block.
+  const SweepReport good = stretch_shard_reports(1)[0];
+  ASSERT_GE(good.per_pair.size(), 2u);
+  ASSERT_GT(good.per_pair[0].stats.delivered, 0);
+  ASSERT_TRUE(report_from_json(to_json(good)).has_value());
+  const auto expect_rejected = [&good](const auto& mutate, const std::string& needle,
+                                       const std::string& where) {
+    SweepReport bad = good;
+    mutate(bad);
+    std::string error;
+    EXPECT_FALSE(report_from_json(to_json(bad), nullptr, &error).has_value()) << needle;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+    EXPECT_NE(error.find(where), std::string::npos) << error;
+  };
+  expect_rejected([](SweepReport& r) { r.totals.looped += 7; }, "'looped'", "totals");
+  expect_rejected([](SweepReport& r) { r.per_pair[1].stats.failures_seen = -1; },
+                  "negative 'failures_seen'", "per_pair row 1");
+  expect_rejected(
+      [](SweepReport& r) {
+        SweepStats& row = r.per_pair[1].stats;
+        row.stretch_samples = row.delivered + 1;
+      },
+      "'stretch_samples'", "per_pair row 1");
+  // Each row adds up on its own, but the rows no longer fold to the totals.
+  expect_rejected(
+      [](SweepReport& r) {
+        --r.per_pair[0].stats.delivered;
+        ++r.per_pair[0].stats.looped;
+        --r.per_pair[0].stats.stretch_samples;
+      },
+      "'delivered'", "per_pair rows sum");
+  expect_rejected([](SweepReport& r) { r.totals.max_stretch += 1.0; }, "'max_stretch'",
+                  "totals");
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  expect_rejected(
+      [](SweepReport& r) {
+        r.per_pair[0].stats.hops_delivered = kMax;
+        r.per_pair[1].stats.hops_delivered = kMax;
+        r.totals.hops_delivered = kMax;
+      },
+      "'hops_delivered' overflows", "per_pair row 1");
+
+  // The Q32 stretch sum saturates in the engine's merge, so a pegged total
+  // over pegged rows is what the engine writes, and it is accepted.
+  SweepReport pegged = good;
+  pegged.per_pair[0].stats.stretch_sum_q32 = kMax;
+  pegged.per_pair[1].stats.stretch_sum_q32 = kMax;
+  pegged.totals.stretch_sum_q32 = kMax;
+  const auto parsed = report_from_json(to_json(pegged));
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(to_json(*parsed), to_json(pegged));
 }
 
 TEST(ShardJson, MalformedInputIsRejected) {

@@ -6,8 +6,9 @@
 
 #include "graph/builders.hpp"
 #include "graph/connectivity.hpp"
-#include "routing/stretch.hpp"
 #include "resilience/algorithm1_k5.hpp"
+#include "sim/scenario.hpp"
+#include "sim/sweep.hpp"
 
 namespace pofl {
 namespace {
@@ -79,21 +80,31 @@ TEST(DfsRewriting, DropsOnlyWhenDisconnected) {
   EXPECT_EQ(reachable.outcome, RoutingOutcome::kDelivered);
 }
 
-TEST(Stretch, PerfectPatternHasFiniteStretch) {
+/// `trials` uniform draws of exactly `num_failures` links on K5 from 0 to 4,
+/// swept with stretch on.
+SweepStats k5_stretch_sweep(const ForwardingPattern& pattern, int num_failures, int trials,
+                            uint64_t seed) {
   const Graph k5 = make_complete(5);
+  auto source = RandomFailureSource::exact_count(k5, num_failures, trials, seed, {{0, 4}});
+  SweepOptions opts;
+  opts.num_threads = 1;
+  opts.compute_stretch = true;
+  return SweepEngine(opts).run(k5, pattern, source);
+}
+
+TEST(Stretch, PerfectPatternHasFiniteStretch) {
   const auto alg1 = make_algorithm1_k5();
-  const auto stats = measure_stretch(k5, *alg1, 0, 4, /*num_failures=*/3, /*trials=*/2000, 3);
-  EXPECT_GT(stats.samples, 500);
-  EXPECT_EQ(stats.failed_deliveries, 0);  // perfectly resilient
-  EXPECT_GE(stats.mean_stretch, 1.0);
+  const SweepStats stats = k5_stretch_sweep(*alg1, /*num_failures=*/3, /*trials=*/2000, 3);
+  EXPECT_GT(stats.stretch_samples, 500);
+  EXPECT_EQ(stats.delivered, stats.promise_held());  // perfectly resilient
+  EXPECT_GE(stats.mean_stretch(), 1.0);
   EXPECT_LE(stats.max_stretch, 8.0);  // walks are bounded by the state count
 }
 
 TEST(Stretch, ZeroFailuresMeansShortestPathForDeliverFirstPatterns) {
-  const Graph k5 = make_complete(5);
   const auto alg1 = make_algorithm1_k5();
-  const auto stats = measure_stretch(k5, *alg1, 0, 4, 0, 50, 7);
-  EXPECT_DOUBLE_EQ(stats.mean_stretch, 1.0);
+  const SweepStats stats = k5_stretch_sweep(*alg1, 0, 50, 7);
+  EXPECT_DOUBLE_EQ(stats.mean_stretch(), 1.0);
   EXPECT_DOUBLE_EQ(stats.max_stretch, 1.0);
 }
 
