@@ -487,6 +487,28 @@ int main(int argc, char** argv) {
       (void)r;
     }));
   }
+  {
+    // One zoo report as the CLI and the daemon serialize it: every ordered
+    // pair of the sampled zoo graph, 20 iid trials each, stretch on.
+    SweepOptions report_opts;
+    report_opts.num_threads = 1;
+    report_opts.compute_stretch = true;
+    auto report_source =
+        RandomFailureSource::iid(zg, 0.05, 20, /*seed=*/1, all_ordered_pairs(zg));
+    const SweepReport report =
+        SweepEngine(report_opts).run_report(zg, *zoo_pattern, report_source);
+    const std::string bytes = to_json(report);
+    std::printf("zoo report: %zu per-pair rows, %zu bytes\n", report.per_pair.size(),
+                bytes.size());
+    emit_micro("report_json_encode_zoo", measure_ns([&] {
+      volatile size_t r = to_json(report).size();
+      (void)r;
+    }));
+    emit_micro("report_json_parse_zoo", measure_ns([&] {
+      volatile bool r = report_from_json(bytes).has_value();
+      (void)r;
+    }));
+  }
   json.end_array();
   json.end_object();
 

@@ -32,19 +32,19 @@ std::string graph_content_hash(const Graph& g) {
   return buf;
 }
 
-std::optional<std::string> ResultCache::lookup(const std::string& key) {
+ResultCache::Bytes ResultCache::lookup(const std::string& key) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = index_.find(key);
   if (it == index_.end()) {
     ++misses_;
-    return std::nullopt;
+    return nullptr;
   }
   ++hits_;
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
   return it->second->second;
 }
 
-void ResultCache::insert(const std::string& key, std::string bytes) {
+void ResultCache::insert(const std::string& key, Bytes bytes) {
   if (capacity_ <= 0) return;
   std::lock_guard<std::mutex> lock(mutex_);
   if (const auto it = index_.find(key); it != index_.end()) {

@@ -14,14 +14,16 @@
 //
 // Bounded LRU: lookups refresh recency, inserts past capacity evict the
 // coldest entry. Hit/miss/eviction counters feed the daemon's `stats`
-// endpoint. All operations take one mutex — entries are whole serialized
-// reports, so the critical sections are pointer swaps and a string copy,
-// dwarfed by the sweeps they short-circuit.
+// endpoint. All operations take one mutex. Entries are whole serialized
+// reports held as shared immutable bytes: a lookup hands out a reference
+// (the critical sections are list splices and a reference-count bump,
+// never a copy of a report), and an entry evicted while a response still
+// reads it lives until that response is written.
 
 #include <cstdint>
 #include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -50,19 +52,21 @@ class ResultCache {
   /// inserts are dropped).
   explicit ResultCache(int capacity) : capacity_(capacity) {}
 
-  /// The cached serialization for `key`, refreshing its recency; nullopt on
+  using Bytes = std::shared_ptr<const std::string>;
+
+  /// The cached serialization for `key`, refreshing its recency; null on
   /// miss. Counts one hit or one miss either way.
-  [[nodiscard]] std::optional<std::string> lookup(const std::string& key);
+  [[nodiscard]] Bytes lookup(const std::string& key);
 
   /// Caches `bytes` under `key`, evicting least-recently-used entries past
   /// capacity. Re-inserting an existing key refreshes value and recency
   /// without an eviction tick.
-  void insert(const std::string& key, std::string bytes);
+  void insert(const std::string& key, Bytes bytes);
 
   [[nodiscard]] Stats stats() const;
 
  private:
-  using Entry = std::pair<std::string, std::string>;  // key -> serialized bytes
+  using Entry = std::pair<std::string, Bytes>;  // key -> serialized bytes
 
   int capacity_;
   mutable std::mutex mutex_;

@@ -10,7 +10,7 @@
 #include <cstring>
 #include <list>
 #include <memory>
-#include <optional>
+#include <system_error>
 #include <thread>
 #include <utility>
 
@@ -39,19 +39,24 @@ std::string error_response(const std::string& message) {
   w.key("error");
   w.value(message);
   w.end_object();
-  return w.str();
+  return w.take();
 }
 
 /// {"ok":true,"cached":b,"key":k,"<body_key>":<body>} — the body is spliced
 /// in verbatim (it is already the exact serialization the cache stores, and
-/// the bytes `submit --json` must reproduce).
-std::string envelope(bool cached, const std::string& key, const std::string& body_key,
+/// the bytes `submit --json` must reproduce). The one copy of the body a
+/// response makes, into a buffer sized for the closing brace and the
+/// newline serve_connection appends.
+std::string envelope(bool cached, const std::string& key, const char* body_key,
                      const std::string& body) {
-  std::string out = "{\"ok\":true,\"cached\":";
-  out += cached ? "true" : "false";
-  out += ",\"key\":\"" + json_escape(key) + "\",\"" + body_key + "\":";
+  std::string head = "{\"ok\":true,\"cached\":";
+  head += cached ? "true" : "false";
+  head += ",\"key\":\"" + json_escape(key) + "\",\"" + body_key + "\":";
+  std::string out;
+  out.reserve(head.size() + body.size() + 2);
+  out += head;
   out += body;
-  out += "}";
+  out += '}';
   return out;
 }
 
@@ -158,7 +163,7 @@ std::string SweepServer::handle_request(const std::string& line) {
     w.key("errors");
     w.value(errors_.load(std::memory_order_relaxed));
     w.end_object();
-    return w.str();
+    return w.take();
   }
 
   if (cmd == "graphs") {
@@ -182,7 +187,7 @@ std::string SweepServer::handle_request(const std::string& line) {
     }
     w.end_array();
     w.end_object();
-    return w.str();
+    return w.take();
   }
 
   const auto fail = [this](const std::string& message) {
@@ -241,16 +246,15 @@ std::string SweepServer::handle_request(const std::string& line) {
     const std::string key = "min-defeat|" + entry->hash + "|pattern=" + canonical +
                             "|s=" + std::to_string(s) + "|t=" + std::to_string(t) +
                             "|budget=" + std::to_string(budget);
-    if (auto cached = cache_.lookup(key); cached.has_value()) {
-      return envelope(true, key, "result", *cached);
-    }
+    if (const auto cached = cache_.lookup(key)) return envelope(true, key, "result", *cached);
     const MinDefeatResult result =
         min_defeat_search(g, *pattern, static_cast<VertexId>(s), static_cast<VertexId>(t),
                           static_cast<int>(budget));
     JsonWriter w;
     append_json(w, result, g);
-    cache_.insert(key, w.str());
-    return envelope(false, key, "result", w.str());
+    const auto body = std::make_shared<const std::string>(w.take());
+    cache_.insert(key, body);
+    return envelope(false, key, "result", *body);
   }
 
   // sweep / witness share the spec decoding.
@@ -265,10 +269,8 @@ std::string SweepServer::handle_request(const std::string& line) {
   // A witness depends on the scenario stream alone, not on stretch or shard.
   const std::string key = witness ? "witness|" + entry->hash + "|" + spec.scenario_key()
                                    : "sweep|" + entry->hash + "|" + spec.key();
-  const std::string body_key = witness ? "witness" : "report";
-  if (auto cached = cache_.lookup(key); cached.has_value()) {
-    return envelope(true, key, body_key, *cached);
-  }
+  const char* body_key = witness ? "witness" : "report";
+  if (const auto cached = cache_.lookup(key)) return envelope(true, key, body_key, *cached);
   const SweepSource stream = spec.make_source(g);
   std::string body;
   if (witness) {
@@ -288,13 +290,14 @@ std::string SweepServer::handle_request(const std::string& line) {
       w.end_array().key("outcome").value(to_string(finding->routing.outcome));
       w.key("hops").value(finding->routing.hops);
     }
-    body = w.end_object().str();
+    body = w.end_object().take();
   } else {
     const SweepEngine& engine = spec.stretch ? stretch_engine_ : plain_engine_;
     body = spec.serialize(engine.run_report(g, pattern, *stream.source));
   }
-  cache_.insert(key, body);
-  return envelope(false, key, body_key, body);
+  const auto bytes = std::make_shared<const std::string>(std::move(body));
+  cache_.insert(key, bytes);
+  return envelope(false, key, body_key, *bytes);
 }
 
 // ---- socket layer ----------------------------------------------------------
@@ -347,7 +350,8 @@ void SweepServer::serve_connection(int fd) {
       buffer.erase(0, newline + 1);
       if (!line.empty() && line.back() == '\r') line.pop_back();
       if (line.empty()) continue;
-      const std::string response = handle_request(line) + "\n";
+      std::string response = handle_request(line);
+      response += '\n';
       if (!write_all(fd, response.data(), response.size())) {
         drop = true;
         break;
@@ -424,10 +428,21 @@ void SweepServer::run() {
     }
     reap_finished();
     Handler& handler = handlers.emplace_back();
-    handler.thread = std::thread([this, fd, &handler] {
-      serve_connection(fd);
-      handler.done.store(true, std::memory_order_release);
-    });
+    try {
+      handler.thread = std::thread([this, fd, &handler] {
+        serve_connection(fd);
+        handler.done.store(true, std::memory_order_release);
+      });
+    } catch (const std::system_error& e) {
+      // No thread for this connection (out of memory or threads): answer
+      // it here with an error line and keep accepting.
+      handlers.pop_back();
+      const std::string response =
+          error_response(std::string("cannot start a connection handler: ") + e.what()) + "\n";
+      write_all(fd, response.data(), response.size());
+      forget_connection(fd);
+      close(fd);
+    }
   }
   // Stop accepting, then unblock every connection read so handlers drain.
   close(listen_fd_);

@@ -8,6 +8,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <system_error>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -281,14 +282,21 @@ int resolve_threads(int requested, const ScenarioSource& source, int batch_size)
   return threads;
 }
 
+/// Runs `worker` on `num_threads` threads. The workers share one scenario
+/// stream, so fewer of them produce the same bytes: when a thread cannot be
+/// created (out of memory or threads), the ones that did start finish the
+/// work, and with none started it runs inline.
 void run_on_pool(int num_threads, const std::function<void()>& worker) {
-  if (num_threads == 1) {
-    worker();
-    return;
-  }
   std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_threads));
-  for (int i = 0; i < num_threads; ++i) threads.emplace_back(worker);
+  if (num_threads > 1) {
+    threads.reserve(static_cast<size_t>(num_threads));
+    try {
+      for (int i = 0; i < num_threads; ++i) threads.emplace_back(worker);
+    } catch (const std::system_error&) {
+      // Finish on the threads that did start.
+    }
+  }
+  if (threads.empty()) worker();
   for (auto& t : threads) t.join();
 }
 

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <span>
 #include <utility>
 
 namespace pofl {
@@ -22,6 +24,45 @@ bool checked_strtol(const char* s, char** end, long& out) {
   errno = 0;
   out = std::strtol(s, end, 10);
   return *end != s && errno != ERANGE;
+}
+
+bool needs_escape(char c) {
+  return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
+}
+
+/// Appends `s` escaped for a JSON string; a clean prefix (every key, and
+/// almost every value) goes in with one append.
+void append_escaped(std::string& out, std::string_view s) {
+  const size_t clean =
+      static_cast<size_t>(std::find_if(s.begin(), s.end(), needs_escape) - s.begin());
+  out.append(s.data(), clean);
+  for (const char c : s.substr(clean)) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 }  // namespace
@@ -96,119 +137,96 @@ BenchArgs parse_bench_args(int argc, char** argv) {
   return args;
 }
 
-void JsonWriter::comma() {
-  if (!needs_comma_.empty() && needs_comma_.back()) out_ += ',';
-  if (!needs_comma_.empty()) needs_comma_.back() = true;
-  if (has_pending_key_) {
-    out_ += '"';
-    out_ += json_escape(pending_key_);
-    out_ += "\":";
-    has_pending_key_ = false;
-  }
-}
-
 JsonWriter& JsonWriter::begin_object() {
-  comma();
+  separate();
   out_ += '{';
-  needs_comma_.push_back(false);
+  first_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::end_object() {
   out_ += '}';
-  needs_comma_.pop_back();
+  first_ = false;
   return *this;
 }
 
 JsonWriter& JsonWriter::begin_array() {
-  comma();
+  separate();
   out_ += '[';
-  needs_comma_.push_back(false);
+  first_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::end_array() {
   out_ += ']';
-  needs_comma_.pop_back();
+  first_ = false;
   return *this;
 }
 
-JsonWriter& JsonWriter::key(const std::string& k) {
-  pending_key_ = k;
-  has_pending_key_ = true;
+JsonWriter& JsonWriter::key(std::string_view k) {
+  separate();
+  out_ += '"';
+  append_escaped(out_, k);
+  out_ += "\":";
+  first_ = true;  // the value follows the colon
   return *this;
 }
 
 JsonWriter& JsonWriter::value(int64_t v) {
-  comma();
-  out_ += std::to_string(v);
+  separate();
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(double v) {
-  comma();
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  out_ += buf;
+  // An integral value under 1e12 in magnitude has at most 12 digits, which
+  // "%.12g" spells as the integer itself: the zero and unit rates and
+  // stretches that fill a report skip the float formatter. -0 keeps its
+  // sign by taking the formatter.
+  if (v > -1e12 && v < 1e12) {
+    const auto whole = static_cast<int64_t>(v);
+    if (static_cast<double>(whole) == v && (whole != 0 || !std::signbit(v))) return value(whole);
+  }
+  separate();
+  // General format at precision 12 is "%.12g" by definition: the same
+  // digits, exponent switch points and trailing-zero trimming.
+  char buf[32];
+  out_.append(buf,
+              std::to_chars(buf, buf + sizeof(buf), v, std::chars_format::general, 12).ptr);
   return *this;
 }
 
 JsonWriter& JsonWriter::value(bool v) {
-  comma();
+  separate();
   out_ += v ? "true" : "false";
   return *this;
 }
 
-JsonWriter& JsonWriter::value(const std::string& v) {
-  comma();
+JsonWriter& JsonWriter::value(std::string_view v) {
+  separate();
   out_ += '"';
-  out_ += json_escape(v);
+  append_escaped(out_, v);
   out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::null() {
-  comma();
+  separate();
   out_ += "null";
   return *this;
 }
 
-JsonWriter& JsonWriter::raw_number(const std::string& spelling) {
-  comma();
+JsonWriter& JsonWriter::raw_number(std::string_view spelling) {
+  separate();
   out_ += spelling;
   return *this;
 }
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+  append_escaped(out, s);
   return out;
 }
 
@@ -237,8 +255,15 @@ void append_json(JsonWriter& w, const SweepStats& stats) {
   w.end_object();
 }
 
-void append_json(JsonWriter& w, const SweepReport& report) {
-  w.begin_object();
+namespace {
+
+/// A serialized per-pair row runs to 400-460 bytes. Reserving this much per
+/// row sizes a report's buffer once; the pages it does not fill are never
+/// touched.
+constexpr size_t kRowBytes = 512;
+
+/// The members of a report object: totals, then the per-pair rows.
+void append_report_fields(JsonWriter& w, const SweepReport& report) {
   w.key("totals");
   append_json(w, report.totals);
   w.key("per_pair").begin_array();
@@ -255,39 +280,53 @@ void append_json(JsonWriter& w, const SweepReport& report) {
     w.end_object();
   }
   w.end_array();
+}
+
+JsonWriter report_writer(const SweepReport& report) {
+  JsonWriter w;
+  w.reserve(kRowBytes * (report.per_pair.size() + 1));
+  return w;
+}
+
+}  // namespace
+
+void append_json(JsonWriter& w, const SweepReport& report) {
+  w.begin_object();
+  append_report_fields(w, report);
   w.end_object();
 }
 
 std::string to_json(const SweepStats& stats) {
   JsonWriter w;
   append_json(w, stats);
-  return w.str();
+  return w.take();
 }
 
 std::string to_json(const SweepReport& report) {
-  JsonWriter w;
+  JsonWriter w = report_writer(report);
   append_json(w, report);
-  return w.str();
+  return w.take();
 }
 
 std::string to_json_shard(const SweepReport& report, int shard_index, int shard_count) {
-  // Splices the shard provenance in as the first key of the report object,
-  // so a shard file is the plain report JSON plus one marker.
-  JsonWriter w;
+  // The shard provenance is the first key of the report object, so a shard
+  // file is the plain report JSON plus one marker.
+  JsonWriter w = report_writer(report);
   w.begin_object();
   w.key("shard").begin_object();
   w.key("index").value(shard_index);
   w.key("count").value(shard_count);
   w.end_object();
-  const std::string body = to_json(report);
-  return "{" + w.str().substr(1) + "," + body.substr(1);
+  append_report_fields(w, report);
+  w.end_object();
+  return w.take();
 }
 
 std::string to_json_partial(const SweepReport& report, const IncompleteInfo& incomplete) {
-  // Same splice as to_json_shard: the plain report plus one leading
+  // Same layout as to_json_shard: the plain report plus one leading
   // provenance block, so parse -> serialize round-trips byte for byte and
   // everything downstream of the "incomplete" key is the ordinary schema.
-  JsonWriter w;
+  JsonWriter w = report_writer(report);
   w.begin_object();
   w.key("incomplete").begin_object();
   w.key("shard_count").value(incomplete.shard_count);
@@ -298,8 +337,9 @@ std::string to_json_partial(const SweepReport& report, const IncompleteInfo& inc
   for (const int attempts : incomplete.attempts) w.value(attempts);
   w.end_array();
   w.end_object();
-  const std::string body = to_json(report);
-  return "{" + w.str().substr(1) + "," + body.substr(1);
+  append_report_fields(w, report);
+  w.end_object();
+  return w.take();
 }
 
 // ---- parser ----------------------------------------------------------------
@@ -510,71 +550,118 @@ bool fail_parse(std::string* error, const std::string& message) {
   return false;
 }
 
-/// Reads the exact (non-derived) SweepStats fields. Derived rates are
-/// recomputed by the accessors, so this is all a byte-exact re-serialization
-/// needs: a 12-significant-digit decimal re-parses to a double that prints
-/// back to the same 12 digits, and everything else is integral. On failure
-/// the error names the first missing/invalid counter.
-bool stats_from_json(const JsonValue& obj, SweepStats& out, std::string* error) {
-  if (obj.kind != JsonValue::Kind::kObject) {
-    return fail_parse(error, "stats value is not an object");
+/// Names a block of the report in an error message; spelled out only on
+/// failure, so the accepting path builds no strings.
+struct Block {
+  const char* name;  // "totals", "per_pair row", ...
+  int64_t row = -1;  // the row index, for the per-row blocks
+
+  [[nodiscard]] std::string where() const {
+    return std::string(" in ") + name + (row >= 0 ? " " + std::to_string(row) : "");
   }
-  const auto counter = [&](const char* key, int64_t& v) {
-    return json_read_int(obj, key, v) ||
-           fail_parse(error, std::string("missing or invalid counter '") + key + "'");
-  };
-  return counter("total", out.total) && counter("promise_broken", out.promise_broken) &&
-         counter("delivered", out.delivered) && counter("looped", out.looped) &&
-         counter("dropped", out.dropped) && counter("invalid", out.invalid) &&
-         counter("failures_seen", out.failures_seen) &&
-         counter("hops_delivered", out.hops_delivered) &&
-         counter("stretch_samples", out.stretch_samples) &&
-         counter("stretch_sum_q32", out.stretch_sum_q32) &&
-         (json_read_double(obj, "max_stretch", out.max_stretch) ||
-          fail_parse(error, "missing or invalid 'max_stretch'"));
+};
+
+/// The keys of each object the writer emits, in its order.
+constexpr std::string_view kReportKeys[] = {"totals", "per_pair"};
+constexpr std::string_view kRowKeys[] = {"source", "destination", "stats"};
+constexpr std::string_view kShardKeys[] = {"index", "count"};
+constexpr std::string_view kIncompleteKeys[] = {"shard_count", "missing_shards", "attempts"};
+constexpr std::string_view kStatsKeys[] = {
+    "total",          "promise_broken",  "promise_held",    "delivered",
+    "looped",         "dropped",         "invalid",         "failures_seen",
+    "hops_delivered", "stretch_samples", "stretch_sum_q32", "stretch_sum",
+    "max_stretch",    "delivery_rate",   "loop_rate",       "drop_rate",
+    "invalid_rate",   "mean_failures",   "mean_hops",       "mean_stretch"};
+constexpr size_t kMaxStretchAt = 12;
+static_assert(kStatsKeys[kMaxStretchAt] == "max_stretch");
+
+/// Requires `obj` to hold exactly `keys` from field `first` on, in order:
+/// the only spelling the writer emits. The accepting path costs one
+/// comparison per field; an unknown, repeated, missing or misplaced key is
+/// diagnosed only on rejection.
+bool check_keys(const JsonValue& obj, size_t first, std::span<const std::string_view> keys,
+                const Block& block, std::string* error) {
+  const auto& fields = obj.fields;
+  for (size_t i = 0; i < keys.size() || first + i < fields.size(); ++i) {
+    if (first + i == fields.size()) {
+      return fail_parse(error, "missing key '" + std::string(keys[i]) + "'" + block.where());
+    }
+    const std::string& got = fields[first + i].first;
+    if (i < keys.size() && got == keys[i]) continue;
+    const auto known = std::find(keys.begin(), keys.end(), got);
+    if (known == keys.end()) {
+      return fail_parse(error, "unknown key '" + got + "'" + block.where());
+    }
+    if (known < keys.begin() + static_cast<ptrdiff_t>(i)) {
+      return fail_parse(error, "repeated key '" + got + "'" + block.where());
+    }
+    return fail_parse(error, "expected key '" + std::string(keys[i]) + "' but found '" + got +
+                                 "'" + block.where());
+  }
+  return true;
 }
 
-/// The integer counters of a stats block, by JSON key.
+/// The integer counters of a stats block: where each sits in kStatsKeys.
 struct StatsCounter {
-  const char* key;
+  size_t at;
   int64_t SweepStats::*field;
+
+  [[nodiscard]] std::string key() const { return std::string(kStatsKeys[at]); }
 };
 constexpr StatsCounter kStatsCounters[] = {
-    {"total", &SweepStats::total},
-    {"promise_broken", &SweepStats::promise_broken},
-    {"delivered", &SweepStats::delivered},
-    {"looped", &SweepStats::looped},
-    {"dropped", &SweepStats::dropped},
-    {"invalid", &SweepStats::invalid},
-    {"failures_seen", &SweepStats::failures_seen},
-    {"hops_delivered", &SweepStats::hops_delivered},
-    {"stretch_samples", &SweepStats::stretch_samples},
-    {"stretch_sum_q32", &SweepStats::stretch_sum_q32},
+    {0, &SweepStats::total},           {1, &SweepStats::promise_broken},
+    {3, &SweepStats::delivered},       {4, &SweepStats::looped},
+    {5, &SweepStats::dropped},         {6, &SweepStats::invalid},
+    {7, &SweepStats::failures_seen},   {8, &SweepStats::hops_delivered},
+    {9, &SweepStats::stretch_samples}, {10, &SweepStats::stretch_sum_q32},
 };
+
+/// Reads the exact (non-derived) SweepStats fields, by position once the
+/// keys are checked. Derived rates are recomputed by the accessors, so
+/// this is all a byte-exact re-serialization needs: a 12-significant-digit
+/// decimal re-parses to a double that prints back to the same 12 digits,
+/// and everything else is integral.
+bool stats_from_json(const JsonValue& obj, SweepStats& out, const Block& block,
+                     std::string* error) {
+  if (obj.kind != JsonValue::Kind::kObject) {
+    return fail_parse(error, "stats value is not an object" + block.where());
+  }
+  if (!check_keys(obj, 0, kStatsKeys, block, error)) return false;
+  for (const StatsCounter& c : kStatsCounters) {
+    if (!json_read_int(obj.fields[c.at].second, out.*c.field)) {
+      return fail_parse(error, "invalid counter '" + c.key() + "'" + block.where());
+    }
+  }
+  if (!json_read_double(obj.fields[kMaxStretchAt].second, out.max_stretch)) {
+    return fail_parse(error, "invalid 'max_stretch'" + block.where());
+  }
+  return true;
+}
 
 /// Rejects a stats block the engine cannot have written: a negative
 /// counter, outcomes that do not add up to the promise-holding scenarios,
-/// or more stretch samples than deliveries. `where` names the block
-/// (" in totals", " in per_pair row 3").
-bool check_stats(const SweepStats& st, const std::string& where, std::string* error) {
+/// or more stretch samples than deliveries.
+bool check_stats(const SweepStats& st, const Block& block, std::string* error) {
   for (const StatsCounter& c : kStatsCounters) {
-    if (st.*c.field < 0) return fail_parse(error, std::string("negative '") + c.key + "'" + where);
+    if (st.*c.field < 0) {
+      return fail_parse(error, "negative '" + c.key() + "'" + block.where());
+    }
   }
-  if (st.max_stretch < 0) return fail_parse(error, "negative 'max_stretch'" + where);
+  if (st.max_stretch < 0) return fail_parse(error, "negative 'max_stretch'" + block.where());
   const std::string outcomes_sum = "'delivered' + 'looped' + 'dropped' + 'invalid'";
   int64_t outcomes = 0;
   if (__builtin_add_overflow(st.delivered, st.looped, &outcomes) ||
       __builtin_add_overflow(outcomes, st.dropped, &outcomes) ||
       __builtin_add_overflow(outcomes, st.invalid, &outcomes)) {
-    return fail_parse(error, outcomes_sum + " overflows int64" + where);
+    return fail_parse(error, outcomes_sum + " overflows int64" + block.where());
   }
   if (outcomes != st.total - st.promise_broken) {
     return fail_parse(error, outcomes_sum + " = " + std::to_string(outcomes) +
                                  " but 'total' - 'promise_broken' = " +
-                                 std::to_string(st.total - st.promise_broken) + where);
+                                 std::to_string(st.total - st.promise_broken) + block.where());
   }
   if (st.stretch_samples > st.delivered) {
-    return fail_parse(error, "'stretch_samples' exceeds 'delivered'" + where);
+    return fail_parse(error, "'stretch_samples' exceeds 'delivered'" + block.where());
   }
   return true;
 }
@@ -589,8 +676,7 @@ bool check_rows_fold_to_totals(const SweepReport& report, std::string* error) {
     for (const StatsCounter& c : kStatsCounters) {
       if (c.field == &SweepStats::stretch_sum_q32) continue;
       if (__builtin_add_overflow(sum.*c.field, row.*c.field, &(sum.*c.field))) {
-        return fail_parse(error, std::string("'") + c.key +
-                                     "' overflows int64 summed up to per_pair row " +
+        return fail_parse(error, "'" + c.key() + "' overflows int64 summed up to per_pair row " +
                                      std::to_string(i));
       }
     }
@@ -599,7 +685,7 @@ bool check_rows_fold_to_totals(const SweepReport& report, std::string* error) {
   }
   for (const StatsCounter& c : kStatsCounters) {
     if (sum.*c.field != report.totals.*c.field) {
-      return fail_parse(error, std::string("per_pair rows sum to '") + c.key + "' = " +
+      return fail_parse(error, "per_pair rows sum to '" + c.key() + "' = " +
                                    std::to_string(sum.*c.field) + " but totals say " +
                                    std::to_string(report.totals.*c.field));
     }
@@ -626,6 +712,74 @@ bool read_int_array(const JsonValue& value, std::vector<int>& out) {
     out.push_back(static_cast<int>(v));
   }
   return true;
+}
+
+bool shard_from_json(const JsonValue& spec, ShardInfo& out, std::string* error) {
+  const Block block{"'shard'"};
+  if (spec.kind != JsonValue::Kind::kObject) {
+    return fail_parse(error, "malformed 'shard' provenance block");
+  }
+  if (!check_keys(spec, 0, kShardKeys, block, error)) return false;
+  int64_t index = 0;
+  int64_t count = 0;
+  if (!json_read_int(spec.fields[0].second, index) ||
+      !json_read_int(spec.fields[1].second, count) || count < 1 || index < 0 ||
+      index >= count || count > 1'000'000) {
+    return fail_parse(error, "malformed 'shard' provenance block");
+  }
+  out.index = static_cast<int>(index);
+  out.count = static_cast<int>(count);
+  out.present = true;
+  return true;
+}
+
+bool incomplete_from_json(const JsonValue& inc, IncompleteInfo& out, std::string* error) {
+  const Block block{"'incomplete'"};
+  if (inc.kind != JsonValue::Kind::kObject) {
+    return fail_parse(error, "malformed 'incomplete' provenance block");
+  }
+  if (!check_keys(inc, 0, kIncompleteKeys, block, error)) return false;
+  int64_t count = 0;
+  std::vector<int> missing;
+  std::vector<int> attempts;
+  bool valid = json_read_int(inc.fields[0].second, count) && count >= 1 &&
+               count <= 1'000'000 && read_int_array(inc.fields[1].second, missing) &&
+               read_int_array(inc.fields[2].second, attempts) && !missing.empty() &&
+               missing.size() == attempts.size();
+  for (size_t i = 0; valid && i < missing.size(); ++i) {
+    // Ascending and in range: the canonical spelling the writer emits,
+    // so parse -> serialize stays byte-exact.
+    valid = missing[i] < count && (i == 0 || missing[i] > missing[i - 1]);
+  }
+  if (!valid) return fail_parse(error, "malformed 'incomplete' provenance block");
+  out.present = true;
+  out.shard_count = static_cast<int>(count);
+  out.missing_shards = std::move(missing);
+  out.attempts = std::move(attempts);
+  return true;
+}
+
+bool row_from_json(const JsonValue& row, int64_t index, PairStats& out, std::string* error) {
+  const Block block{"per_pair row", index};
+  if (row.kind != JsonValue::Kind::kObject) return fail_parse(error, "non-object" + block.where());
+  if (!check_keys(row, 0, kRowKeys, block, error)) return false;
+  int64_t source = 0;
+  if (!json_read_int(row.fields[0].second, source)) {
+    return fail_parse(error, "invalid 'source'" + block.where());
+  }
+  out.source = static_cast<VertexId>(source);
+  const JsonValue& destination = row.fields[1].second;
+  int64_t value = 0;
+  if (destination.kind == JsonValue::Kind::kNull) {
+    out.destination = kNoVertex;
+  } else if (json_read_int(destination, value)) {
+    out.destination = static_cast<VertexId>(value);
+  } else {
+    return fail_parse(error, "invalid 'destination'" + block.where());
+  }
+  const Block stats_block{"stats of per_pair row", index};
+  return stats_from_json(row.fields[2].second, out.stats, stats_block, error) &&
+         check_stats(out.stats, stats_block, error);
 }
 
 }  // namespace
@@ -685,15 +839,19 @@ bool json_read_int(const JsonValue& value, int64_t& out) {
 
 bool json_read_double(const JsonValue& obj, const std::string& key, double& out) {
   const JsonValue* v = obj.find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) return false;
+  return v != nullptr && json_read_double(*v, out);
+}
+
+bool json_read_double(const JsonValue& value, double& out) {
+  if (value.kind != JsonValue::Kind::kNumber) return false;
   char* end = nullptr;
   errno = 0;
-  out = std::strtod(v->text.c_str(), &end);
+  out = std::strtod(value.text.c_str(), &end);
   // Same errno discipline as json_read_int: strtod signals overflow
   // (1e999 -> HUGE_VAL) and fatal underflow only through ERANGE, so the
   // bare check used to parse an unrepresentable max_stretch "successfully"
   // and corrupt the merge downstream instead of rejecting the report.
-  return end != v->text.c_str() && *end == '\0' && errno != ERANGE;
+  return end != value.text.c_str() && *end == '\0' && errno != ERANGE;
 }
 
 std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* shard,
@@ -718,111 +876,64 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
     fail_parse(error, "top-level value is not an object");
     return std::nullopt;
   }
-  if (const JsonValue* spec = root.find("shard"); spec != nullptr && shard != nullptr) {
-    int64_t index = 0;
-    int64_t count = 0;
-    if (spec->kind != JsonValue::Kind::kObject || !json_read_int(*spec, "index", index) ||
-        !json_read_int(*spec, "count", count) || count < 1 || index < 0 || index >= count) {
-      fail_parse(error, "malformed 'shard' provenance block");
+  // An optional leading provenance block, then exactly the report keys.
+  ShardInfo shard_info;
+  IncompleteInfo incomplete_info;
+  size_t first = 0;
+  if (!root.fields.empty() && root.fields[0].first == "shard") {
+    if (!shard_from_json(root.fields[0].second, shard_info, error)) return std::nullopt;
+    first = 1;
+  } else if (!root.fields.empty() && root.fields[0].first == "incomplete") {
+    if (!incomplete_from_json(root.fields[0].second, incomplete_info, error)) {
       return std::nullopt;
     }
-    shard->index = static_cast<int>(index);
-    shard->count = static_cast<int>(count);
-    shard->present = true;
+    first = 1;
   }
-  if (const JsonValue* inc = root.find("incomplete"); inc != nullptr && incomplete != nullptr) {
-    int64_t count = 0;
-    std::vector<int> missing;
-    std::vector<int> attempts;
-    bool valid = inc->kind == JsonValue::Kind::kObject &&
-                 json_read_int(*inc, "shard_count", count) && count >= 1 && count <= 1'000'000;
-    const JsonValue* missing_value = valid ? inc->find("missing_shards") : nullptr;
-    const JsonValue* attempts_value = valid ? inc->find("attempts") : nullptr;
-    valid = valid && missing_value != nullptr && read_int_array(*missing_value, missing) &&
-            attempts_value != nullptr && read_int_array(*attempts_value, attempts) &&
-            !missing.empty() && missing.size() == attempts.size();
-    for (size_t i = 0; valid && i < missing.size(); ++i) {
-      // Ascending and in range: the canonical spelling the writer emits,
-      // so parse -> serialize stays byte-exact.
-      valid = missing[i] < count && (i == 0 || missing[i] > missing[i - 1]);
-    }
-    if (!valid) {
-      fail_parse(error, "malformed 'incomplete' provenance block");
-      return std::nullopt;
-    }
-    incomplete->present = true;
-    incomplete->shard_count = static_cast<int>(count);
-    incomplete->missing_shards = std::move(missing);
-    incomplete->attempts = std::move(attempts);
+  if (!check_keys(root, first, kReportKeys, Block{"the report object"}, error)) {
+    return std::nullopt;
   }
   SweepReport report;
-  const JsonValue* totals = root.find("totals");
-  if (totals == nullptr) {
-    fail_parse(error, "missing 'totals'");
+  const Block totals{"totals"};
+  if (!stats_from_json(root.fields[first].second, report.totals, totals, error) ||
+      !check_stats(report.totals, totals, error)) {
     return std::nullopt;
   }
-  if (!stats_from_json(*totals, report.totals, error) ||
-      !check_stats(report.totals, " in totals", error)) {
+  const JsonValue& rows = root.fields[first + 1].second;
+  if (rows.kind != JsonValue::Kind::kArray) {
+    fail_parse(error, "'per_pair' is not an array");
     return std::nullopt;
   }
-  const JsonValue* rows = root.find("per_pair");
-  if (rows == nullptr || rows->kind != JsonValue::Kind::kArray) {
-    fail_parse(error, "missing or invalid 'per_pair'");
-    return std::nullopt;
-  }
-  report.per_pair.reserve(rows->items.size());
-  for (const JsonValue& row : rows->items) {
-    const std::string where = " in per_pair row " + std::to_string(report.per_pair.size());
-    if (row.kind != JsonValue::Kind::kObject) {
-      fail_parse(error, "non-object" + where);
+  report.per_pair.resize(rows.items.size());
+  for (size_t i = 0; i < rows.items.size(); ++i) {
+    if (!row_from_json(rows.items[i], static_cast<int64_t>(i), report.per_pair[i], error)) {
       return std::nullopt;
     }
-    PairStats pair;
-    int64_t source = 0;
-    if (!json_read_int(row, "source", source)) {
-      fail_parse(error, "missing or invalid 'source'" + where);
-      return std::nullopt;
-    }
-    pair.source = static_cast<VertexId>(source);
-    const JsonValue* destination = row.find("destination");
-    if (destination == nullptr) {
-      fail_parse(error, "missing 'destination'" + where);
-      return std::nullopt;
-    }
-    if (destination->kind == JsonValue::Kind::kNull) {
-      pair.destination = kNoVertex;
-    } else {
-      int64_t value = 0;
-      if (!json_read_int(row, "destination", value)) {
-        fail_parse(error, "invalid 'destination'" + where);
-        return std::nullopt;
-      }
-      pair.destination = static_cast<VertexId>(value);
-    }
-    const JsonValue* stats = row.find("stats");
-    std::string stats_error;
-    if (stats == nullptr || !stats_from_json(*stats, pair.stats, &stats_error)) {
-      fail_parse(error,
-                 (stats == nullptr ? std::string("missing 'stats'") : stats_error) + where);
-      return std::nullopt;
-    }
-    if (!check_stats(pair.stats, where, error)) return std::nullopt;
-    report.per_pair.push_back(std::move(pair));
   }
   if (!report.per_pair.empty() && !check_rows_fold_to_totals(report, error)) {
     return std::nullopt;
   }
+  if (shard != nullptr) *shard = shard_info;
+  if (incomplete != nullptr) *incomplete = std::move(incomplete_info);
   return report;
 }
 
 bool write_json_file(const std::string& path, const std::string& body) {
-  std::ofstream out(path);
-  if (!out) {
-    std::fprintf(stderr, "error: cannot write %s\n", path.c_str());
-    return false;
+  // stdio buffers the write, so an error (a full disk, /dev/full) may only
+  // surface at fclose: check every step, the close included.
+  FILE* out = std::fopen(path.c_str(), "w");
+  bool ok = out != nullptr;
+  int err = errno;
+  if (out != nullptr) {
+    ok = std::fwrite(body.data(), 1, body.size(), out) == body.size() &&
+         std::fputc('\n', out) != EOF;
+    err = errno;
+    if (std::fclose(out) != 0 && ok) {
+      ok = false;
+      err = errno;
+    }
   }
-  out << body << "\n";
-  return out.good();
+  if (!ok) std::fprintf(stderr, "error: cannot write %s: %s\n", path.c_str(), std::strerror(err));
+  return ok;
 }
 
 }  // namespace pofl

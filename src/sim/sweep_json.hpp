@@ -14,14 +14,16 @@
 //   shard report -> {"shard":{"index":i,"count":n},"totals":...} — the
 //                   optional leading "shard" key marks a partial report.
 // Touring rows serialize their kNoVertex destination as null. The parser
-// reads only the exact fields (integer counters, the max_stretch double)
-// and recomputes every derived rate, so parse -> serialize reproduces the
-// input byte for byte.
+// accepts only the writer's keys in the writer's order, reads only the
+// exact fields (integer counters, the max_stretch double) and recomputes
+// every derived rate, so parse -> serialize reproduces the input byte for
+// byte.
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -64,40 +66,52 @@ struct BenchArgs {
 [[nodiscard]] bool parse_shard_spec(const char* spec, int& index, int& count);
 
 /// Append-style compact JSON writer. Keys and values are emitted in call
-/// order; commas and nesting are handled by the writer. No pretty-printing —
-/// consumers are scripts, not eyes.
+/// order, straight into one buffer; commas and nesting are handled by the
+/// writer. No pretty-printing — consumers are scripts, not eyes.
 class JsonWriter {
  public:
   JsonWriter& begin_object();
   JsonWriter& end_object();
   JsonWriter& begin_array();
   JsonWriter& end_array();
-  /// Key for the next value inside an object.
-  JsonWriter& key(const std::string& k);
+  /// Key for the next value inside an object, written at once.
+  JsonWriter& key(std::string_view k);
   JsonWriter& value(int64_t v);
   JsonWriter& value(int v) { return value(static_cast<int64_t>(v)); }
+  /// The spelling of printf's "%.12g", written by std::to_chars.
   JsonWriter& value(double v);
   JsonWriter& value(bool v);
-  JsonWriter& value(const std::string& v);
-  JsonWriter& value(const char* v) { return value(std::string(v)); }
+  JsonWriter& value(std::string_view v);
+  /// A literal is a string: without this overload it would take the
+  /// pointer-to-bool conversion over string_view.
+  JsonWriter& value(const char* v) { return value(std::string_view(v)); }
   JsonWriter& null();
   /// Emits a number by its raw spelling, verbatim. How append_json(JsonValue)
   /// round-trips numbers byte-exactly; the caller vouches the text is a
   /// valid JSON number (the parser only produces such spellings).
-  JsonWriter& raw_number(const std::string& spelling);
+  JsonWriter& raw_number(std::string_view spelling);
 
+  void reserve(size_t bytes) { out_.reserve(bytes); }
   [[nodiscard]] const std::string& str() const { return out_; }
+  /// Moves the document out, leaving the writer empty.
+  [[nodiscard]] std::string take() {
+    first_ = true;
+    return std::exchange(out_, {});
+  }
 
  private:
-  void comma();
+  /// The comma before an element, unless it opens its container or is the
+  /// value of a key.
+  void separate() {
+    if (!first_) out_ += ',';
+    first_ = false;
+  }
 
   std::string out_;
-  std::string pending_key_;
-  bool has_pending_key_ = false;
-  std::vector<bool> needs_comma_;
+  bool first_ = true;
 };
 
-[[nodiscard]] std::string json_escape(const std::string& s);
+[[nodiscard]] std::string json_escape(std::string_view s);
 
 /// A parsed JSON value: the tree the recursive-descent reader produces.
 /// Numbers keep their raw spelling (`text`), so integers survive exactly and
@@ -150,6 +164,7 @@ void append_json(JsonWriter& w, const JsonValue& value);
 /// to HUGE_VAL with only errno to show for it, and a value that cannot
 /// round-trip must reject the document instead of corrupting a merge.
 [[nodiscard]] bool json_read_double(const JsonValue& obj, const std::string& key, double& out);
+[[nodiscard]] bool json_read_double(const JsonValue& value, double& out);
 
 /// Serializes the stats as one JSON object (counters plus derived rates).
 void append_json(JsonWriter& w, const SweepStats& stats);
@@ -190,10 +205,13 @@ struct ShardInfo {
 };
 
 /// Parses a SweepReport previously written by to_json / to_json_shard /
-/// to_json_partial. Reads the exact fields only (integer counters,
-/// max_stretch) and ignores derived rates, so serializing the result
-/// reproduces the input byte for byte. Returns nullopt on malformed input;
-/// fills *shard / *incomplete when the report carries that provenance.
+/// to_json_partial. Every object must carry exactly the writer's keys in
+/// the writer's order (an unknown, misspelled, repeated or missing key is
+/// an error naming the key and its block). Reads the exact fields only
+/// (integer counters, max_stretch) and ignores derived rates, so
+/// serializing the result reproduces the input byte for byte. Returns
+/// nullopt on malformed input; fills *shard / *incomplete when the report
+/// carries that provenance.
 /// On failure, *error (when non-null) gets a diagnosis worth relaying to
 /// the operator — "empty file (0 bytes)", "JSON syntax error at byte
 /// offset N", or the missing/invalid field — instead of a generic parse
@@ -203,7 +221,9 @@ struct ShardInfo {
                                                           std::string* error = nullptr,
                                                           IncompleteInfo* incomplete = nullptr);
 
-/// Writes `body` to `path`; returns false (and prints to stderr) on failure.
+/// Writes `body` and a newline to `path`, then flushes and closes it.
+/// Returns false, printing "error: cannot write <path>: <reason>" to
+/// stderr, if any step fails, the close included.
 bool write_json_file(const std::string& path, const std::string& body);
 
 }  // namespace pofl

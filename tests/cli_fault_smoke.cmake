@@ -16,9 +16,11 @@
 #      parameters, or over a graph file overwritten in place, is rejected
 #      by the checkpoint.meta guard;
 #   4. diagnostics and flag validation — merge names the file, shard, and
-#      byte offset of a truncated input, and the field of a well-formed
-#      report whose counters do not add up; supervision flags without
-#      --procs and malformed POFL_FAULT specs are hard errors.
+#      byte offset of a truncated input, the field of a well-formed report
+#      whose counters do not add up, and a misspelled key; a --json path
+#      that cannot be written (/dev/full) fails the command with its name;
+#      supervision flags without --procs and malformed POFL_FAULT specs are
+#      hard errors.
 #
 # Usage: cmake -DPOFL_CLI=<exe> -DBASELINE=<json> -DWORK_DIR=<dir>
 #              -P cli_fault_smoke.cmake
@@ -164,6 +166,24 @@ string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
 file(WRITE "${WORK_DIR}/miscounted.json" "${k5_head}\"looped\":7${k5_tail}")
 run_cli(FALSE - merge "${WORK_DIR}/miscounted.json")
 expect_contains("${cli_err}" "'looped'" "miscounted-report diagnostic")
+# A key the writer never emits (the first "mean_hops" misspelled) names the
+# key and its block.
+string(FIND "${k5_bytes}" "\"mean_hops\"" mean_hops_at)
+string(SUBSTRING "${k5_bytes}" 0 ${mean_hops_at} k5_head)
+math(EXPR k5_tail_at "${mean_hops_at} + 11")
+string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
+file(WRITE "${WORK_DIR}/misspelled.json" "${k5_head}\"mean_hosp\"${k5_tail}")
+run_cli(FALSE - merge "${WORK_DIR}/misspelled.json")
+expect_contains("${cli_err}" "unknown key 'mean_hosp' in totals" "misspelled-key diagnostic")
+
+# 4c. A report that cannot be written fails the command and names the path,
+# also when the error only surfaces as the file is flushed and closed.
+if(EXISTS /dev/full)
+  run_cli(FALSE - min-defeat "${GRAPH}" shortest-path 0,2 --json /dev/full)
+  expect_contains("${cli_err}" "cannot write /dev/full" "min-defeat write-failure diagnostic")
+  run_cli(FALSE - sweep "${GRAPH}" 0.05 20 --json /dev/full)
+  expect_contains("${cli_err}" "cannot write /dev/full" "sweep write-failure diagnostic")
+endif()
 
 # 4b. Flag validation: supervision flags require --procs; malformed
 # POFL_FAULT specs are hard worker errors, not silent no-ops.

@@ -30,8 +30,10 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <csignal>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -40,6 +42,7 @@
 #include <utility>
 #include <vector>
 
+#include "address_limit.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
 #include "orchestrate/posix_io.hpp"
@@ -450,6 +453,37 @@ TEST(ServeSocket, SequentialConnectionsDoNotAccumulateHandlers) {
 
   server.stop();
   daemon.join();
+}
+
+TEST(ServeSocket, ThreadCreationFailureIsAnErrorLineAndTheDaemonKeepsAccepting) {
+  // A daemon that cannot start a handler thread answers that connection
+  // with an {"ok":false,...} line and goes on accepting, instead of
+  // std::terminate. The daemon runs in a forked child whose address space
+  // has no room for a thread stack; this process is the client.
+  if (testing::kAddressSanitizer) GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan";
+  SweepServer server(k33_opts());
+  register_k33(server);
+  std::string error;
+  ASSERT_TRUE(server.start(error)) << error;
+  const pid_t child = testing::fork_with_address_limit(testing::kChildThreadStack / 2, [&] {
+    server.run();
+    return 0;
+  });
+  ASSERT_GT(child, 0);
+  for (int i = 0; i < 3; ++i) {
+    const int fd = connect_loopback(server.port());
+    const timeval timeout{10, 0};  // a hung daemon fails the test, not the suite
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    const Envelope e = unpack(roundtrip(fd, "{\"cmd\":\"ping\"}"), "");
+    close(fd);
+    EXPECT_FALSE(e.ok) << "connection " << i;
+    EXPECT_NE(e.error.find("cannot start a connection handler"), std::string::npos)
+        << "connection " << i << ": " << e.error;
+  }
+  int status = 0;
+  EXPECT_EQ(waitpid(child, &status, WNOHANG), 0) << "the daemon exited, status " << status;
+  kill(child, SIGKILL);
+  waitpid(child, &status, 0);
 }
 
 TEST(ServeSocket, ConcurrentTcpClientsShutdownCleanly) {

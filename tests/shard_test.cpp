@@ -540,6 +540,63 @@ TEST(ShardJson, CountersTheEngineCannotWriteAreRejected) {
   EXPECT_EQ(to_json(*parsed), to_json(pegged));
 }
 
+TEST(ShardJson, KeysTheWriterCannotWriteAreRejected) {
+  // Every object of a report must carry exactly the writer's keys in the
+  // writer's order: a misspelled, unknown, repeated or missing key is a
+  // report no sweep wrote, and the error names the key and the block.
+  const SweepReport good = stretch_shard_reports(1)[0];
+  ASSERT_GE(good.per_pair.size(), 2u);
+  const std::string bytes = to_json(good);
+  const size_t row1 = bytes.find("{\"source\":", bytes.find("{\"source\":") + 1);
+  ASSERT_NE(row1, std::string::npos);
+  // Replaces the first `from` at or after `at`.
+  const auto edited = [](std::string text, size_t at, const std::string& from,
+                         const std::string& to) {
+    const size_t pos = text.find(from, at);
+    EXPECT_NE(pos, std::string::npos) << from;
+    return text.replace(pos, from.size(), to);
+  };
+  const auto expect_rejected = [](const std::string& text, const std::string& needle) {
+    std::string error;
+    EXPECT_FALSE(report_from_json(text, nullptr, &error).has_value()) << needle;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  };
+  expect_rejected(edited(bytes, 0, "\"mean_hops\"", "\"mean_hosp\""),
+                  "unknown key 'mean_hosp' in totals");
+  expect_rejected(edited(bytes, row1, "\"loop_rate\"", "\"loop_rat\""),
+                  "unknown key 'loop_rat' in stats of per_pair row 1");
+  expect_rejected(edited(bytes, row1, "\"destination\"", "\"source\":0,\"destination\""),
+                  "repeated key 'source' in per_pair row 1");
+  expect_rejected(edited(bytes, 0, "\"promise_held\"", "\"total\":1,\"promise_held\""),
+                  "repeated key 'total' in totals");
+  expect_rejected(edited(bytes, 0, "{\"totals\"", "{\"extra\":1,\"totals\""),
+                  "unknown key 'extra' in the report object");
+  expect_rejected(edited(bytes, 0, "]}", "],\"per_pair\":[]}"),
+                  "repeated key 'per_pair' in the report object");
+  // A derived field dropped from a row's stats, and the row's last key.
+  const size_t held = bytes.find("\"promise_held\":", row1);
+  const size_t held_end = bytes.find(',', held);
+  expect_rejected(bytes.substr(0, held) + bytes.substr(held_end + 1),
+                  "expected key 'promise_held' but found 'delivered' in stats of per_pair row 1");
+  const size_t stretch = bytes.find(",\"mean_stretch\":");
+  const size_t stretch_end = bytes.find('}', stretch);
+  expect_rejected(bytes.substr(0, stretch) + bytes.substr(stretch_end),
+                  "missing key 'mean_stretch' in totals");
+  // Provenance blocks follow the same rule.
+  const std::string shard = to_json_shard(good, 0, 1);
+  ASSERT_TRUE(report_from_json(shard).has_value());
+  expect_rejected(edited(shard, 0, "\"index\"", "\"idx\""), "unknown key 'idx' in 'shard'");
+  IncompleteInfo incomplete;
+  incomplete.present = true;
+  incomplete.shard_count = 2;
+  incomplete.missing_shards = {1};
+  incomplete.attempts = {3};
+  const std::string partial = to_json_partial(good, incomplete);
+  ASSERT_TRUE(report_from_json(partial).has_value());
+  expect_rejected(edited(partial, 0, ",\"attempts\":[3]", ""),
+                  "missing key 'attempts' in 'incomplete'");
+}
+
 TEST(ShardJson, MalformedInputIsRejected) {
   EXPECT_FALSE(report_from_json("").has_value());
   EXPECT_FALSE(report_from_json("{").has_value());

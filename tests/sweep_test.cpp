@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <system_error>
+#include <thread>
+
+#include "address_limit.hpp"
 #include "attacks/pattern_corpus.hpp"
 #include "graph/builders.hpp"
 #include "resilience/algorithm1_k5.hpp"
 #include "routing/verifier.hpp"
 #include "search/min_defeat.hpp"
 #include "sim/scenario.hpp"
+#include "sim/sweep_json.hpp"
 
 namespace pofl {
 namespace {
@@ -144,6 +151,43 @@ TEST(SweepEngine, SingleAndMultiThreadAggregatesMatch) {
   EXPECT_EQ(one.stretch_samples, many.stretch_samples);
   EXPECT_DOUBLE_EQ(one.max_stretch, many.max_stretch);
   EXPECT_EQ(one.stretch_sum_q32, many.stretch_sum_q32);
+}
+
+TEST(SweepEngine, ThreadCreationFailureKeepsTheReportBytes) {
+  // A worker thread that cannot be created must not std::terminate the
+  // sweep: the workers that did start finish the stream, or it runs inline
+  // when none did, and the report bytes are the 1-thread bytes either way.
+  if (testing::kAddressSanitizer) GTEST_SKIP() << "RLIMIT_AS cannot be lowered under ASan";
+  const Graph g = make_complete(5);
+  const auto pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, g);
+  SweepOptions opts = threads(1);
+  opts.compute_stretch = true;
+  const auto report = [&](int num_threads) {
+    ExhaustiveFailureSource source(g, g.num_edges(), all_ordered_pairs(g));
+    opts.num_threads = num_threads;
+    return to_json(SweepEngine(opts).run_report(g, *pattern, source));
+  };
+  const std::string expected = report(1);
+  constexpr size_t kStack = testing::kChildThreadStack;
+  // Room for no thread stack, then for exactly one.
+  for (const size_t headroom : {kStack / 2, kStack + kStack / 2}) {
+    const pid_t child = testing::fork_with_address_limit(headroom, [&] {
+      if (headroom < kStack) {
+        try {
+          std::thread([] {}).join();
+          return 2;  // the cap did not stop a thread: the test proves nothing
+        } catch (const std::system_error&) {
+        }
+      }
+      return report(4) == expected ? 0 : 1;
+    });
+    ASSERT_GT(child, 0);
+    int status = 0;
+    ASSERT_EQ(waitpid(child, &status, 0), child);
+    ASSERT_TRUE(WIFEXITED(status)) << "headroom " << headroom << ": child died, status "
+                                   << status;
+    EXPECT_EQ(WEXITSTATUS(status), 0) << "headroom " << headroom;
+  }
 }
 
 TEST(SweepEngine, ExhaustiveAndSampledSweepsAgreeOnPerfectPattern) {
