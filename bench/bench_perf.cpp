@@ -3,7 +3,7 @@
 //
 // The headline section measures the SweepEngine (route_groups_fast: 64-packet
 // lockstep chunks, word-packed seen bits, memoized forwarding decisions) on
-// four scenario streams, at 1 and N threads. The driver *asserts* that both
+// five scenario streams, at 1 and N threads. The driver *asserts* that both
 // arms produce bit-identical SweepStats and exits nonzero otherwise, so the
 // multi-threaded number can never come from diverging semantics. A stretch
 // column times the same engine with compute_stretch at 1 thread (the stretch
@@ -206,11 +206,19 @@ int main(int argc, char** argv) {
   }
   ExhaustiveFailureSource ft_source(ft, 2, ft_pairs);
 
+  // Fat-tree |F| <= 1 over all ordered pairs with the pattern `pofl_cli
+  // sweep` and the daemon ship: shortest-path in the source-destination
+  // model. Every row above uses the destination-only pattern, so this is the
+  // row that shows what the operator's pattern costs the decision cache.
+  const auto ft_sd_pattern = make_shortest_path_pattern(RoutingModel::kSourceDestination, ft);
+  ExhaustiveFailureSource ft_sd_source(ft, 1, all_ordered_pairs(ft));
+
   const Workload workloads[] = {
       {"k5_exhaustive", &k5, k5_pattern.get(), &k5_source},
       {"k33_exhaustive", &k33, k33_pattern.get(), &k33_source},
       {"zoo_sampled", &zg, zoo_pattern.get(), &zoo_source},
       {"fattree_f2", &ft, ft_pattern.get(), &ft_source},
+      {"fattree_f1_sd", &ft, ft_sd_pattern.get(), &ft_sd_source},
   };
 
   JsonWriter json;

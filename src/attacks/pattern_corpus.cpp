@@ -26,6 +26,7 @@ class IdCyclicPattern final : public ForwardingPattern {
   explicit IdCyclicPattern(RoutingModel model) : model_(model) {}
   [[nodiscard]] RoutingModel model() const override { return model_; }
   [[nodiscard]] std::string name() const override { return "id-cyclic"; }
+  [[nodiscard]] bool reads_source() const override { return false; }
 
   [[nodiscard]] std::optional<EdgeId> forward(const Graph& g, VertexId at, EdgeId inport,
                                               const IdSet& local_failures,
@@ -68,6 +69,7 @@ class RandomCyclicPattern final : public ForwardingPattern {
 
   [[nodiscard]] RoutingModel model() const override { return model_; }
   [[nodiscard]] std::string name() const override { return "random-cyclic"; }
+  [[nodiscard]] bool reads_source() const override { return false; }
 
   [[nodiscard]] std::optional<EdgeId> forward(const Graph& g, VertexId at, EdgeId inport,
                                               const IdSet& local_failures,
@@ -134,6 +136,7 @@ class ShortestPathPattern final : public ForwardingPattern {
   [[nodiscard]] std::string name() const override {
     return bounce_shy_ ? "bounce-shy-shortest-path" : "shortest-path-rotor";
   }
+  [[nodiscard]] bool reads_source() const override { return false; }
 
   [[nodiscard]] std::optional<EdgeId> forward(const Graph& g, VertexId at, EdgeId inport,
                                               const IdSet& local_failures,

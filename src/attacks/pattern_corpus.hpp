@@ -17,7 +17,9 @@
 //                        unless forced.
 //
 // All families respect the model: they read only the local failure set, the
-// in-port and the header fields their RoutingModel exposes.
+// in-port and the header fields their RoutingModel exposes. Only
+// random-stateless reads the source; the other families report
+// reads_source() false, so the simulator hides it from them in every model.
 
 #include <cstdint>
 #include <memory>

@@ -40,8 +40,9 @@ enum class RoutingModel {
   return "?";
 }
 
-/// Immutable packet header. Fields a model must not depend on are set to
-/// kNoVertex by the simulator, so a pattern cannot cheat.
+/// Immutable packet header. Fields a model must not depend on, and the
+/// source for a pattern whose reads_source() is false, are set to kNoVertex
+/// by the simulator, so a pattern cannot cheat.
 struct Header {
   VertexId source = kNoVertex;
   VertexId destination = kNoVertex;
@@ -68,6 +69,18 @@ class ForwardingPattern {
 
   [[nodiscard]] virtual RoutingModel model() const = 0;
   [[nodiscard]] virtual std::string name() const = 0;
+
+  /// Whether forward() reads header.source. The simulator shows the source
+  /// only to a pattern that both may read it (source-destination model) and
+  /// says it does, so the routing-decision cache keys a transition by the
+  /// header fields forward() actually sees: a source-destination pattern
+  /// that ignores the source shares one entry per destination across all
+  /// sources instead of one per (source, destination) pair. Defaults to
+  /// what the model allows; override with false only where forward() never
+  /// reads the source.
+  [[nodiscard]] virtual bool reads_source() const {
+    return model() == RoutingModel::kSourceDestination;
+  }
 
   /// The out-port for a packet arriving at `at` via `inport` (kNoEdge means
   /// the packet originates here), given the locally visible failures.

@@ -7,20 +7,15 @@ namespace pofl {
 
 namespace {
 
-/// Masks header fields the model is not allowed to read.
-Header masked(const Header& header, RoutingModel model) {
+/// Masks the header fields the pattern may not read (by its model) or does
+/// not read (reads_source() false). Both routing cores hand forward() only
+/// this header, so the decision cache, keyed by it, is exact by
+/// construction: no pattern can read a field that is not in its key.
+Header masked(const Header& header, const ForwardingPattern& pattern) {
+  const RoutingModel model = pattern.model();
   Header h = header;
-  switch (model) {
-    case RoutingModel::kSourceDestination:
-      break;
-    case RoutingModel::kDestinationOnly:
-      h.source = kNoVertex;
-      break;
-    case RoutingModel::kTouring:
-      h.source = kNoVertex;
-      h.destination = kNoVertex;
-      break;
-  }
+  if (model != RoutingModel::kSourceDestination || !pattern.reads_source()) h.source = kNoVertex;
+  if (model == RoutingModel::kTouring) h.destination = kNoVertex;
   return h;
 }
 
@@ -32,7 +27,7 @@ RoutingOutcome route_core(const SimContext& ctx, const ForwardingPattern& patter
                           const IdSet& failures, VertexId source, const Header& header,
                           RoutingWorkspace& ws, int& hops, std::vector<VertexId>* walk) {
   const Graph& g = ctx.graph();
-  const Header visible = masked(header, pattern.model());
+  const Header visible = masked(header, pattern);
   const VertexId destination = header.destination;
   assert(destination != kNoVertex && "route_packet needs a destination to detect delivery");
 
@@ -194,8 +189,9 @@ SimContext::SimContext(const Graph& g)
 namespace {
 
 /// Decision-cache sizing: start small, double at 60% load, stop growing (and
-/// inserting) at the cap — ~2M entries, bounded memory even for adversarial
-/// scenario streams. Lookups keep hitting the resident entries either way.
+/// inserting) at the cap — ~2M slots, bounded memory even for adversarial
+/// scenario streams. Lookups keep hitting the resident entries either way;
+/// RoutingWorkspace::decision_cache_dropped counts the refused inserts.
 constexpr size_t kDecisionCacheInitialCap = 1024;
 constexpr size_t kDecisionCacheMaxCap = size_t{1} << 21;
 
@@ -235,6 +231,7 @@ void RoutingWorkspace::begin_session(const SimContext& ctx, const ForwardingPatt
   if (dc_graph_uid_ != graph_uid || dc_pattern_uid_ != pattern_uid) {
     std::fill(dc_.begin(), dc_.end(), DecisionSlot{});
     dc_size_ = 0;
+    dc_dropped_ = 0;
     dc_graph_uid_ = graph_uid;
     dc_pattern_uid_ = pattern_uid;
   }
@@ -261,7 +258,10 @@ uint64_t RoutingWorkspace::compute_port_mask(const SimContext& ctx, VertexId v,
 
 void RoutingWorkspace::insert_decision(uint64_t key_cs, uint64_t key_mask, int64_t next) {
   if (dc_.empty() || dc_size_ * 5 >= dc_.size() * 3) {
-    if (!dc_.empty() && dc_.size() >= kDecisionCacheMaxCap) return;  // at capacity
+    if (!dc_.empty() && dc_.size() >= kDecisionCacheMaxCap) {
+      ++dc_dropped_;  // at capacity: the transition is recomputed on every visit
+      return;
+    }
     grow_decision_cache();
   }
   const size_t cap_mask = dc_.size() - 1;
@@ -352,6 +352,16 @@ int32_t compute_decision(const SimContext& ctx, const ForwardingPattern& pattern
   return oe;
 }
 
+/// The decision-cache class of a masked header: s * n + t when the source is
+/// visible, t when only the destination is, 0 when neither is. Injective
+/// over the headers one pattern can see, so a class and a state id name
+/// exactly the header and state forward() is called with.
+uint64_t header_class(const Header& visible, uint64_t n) {
+  const uint64_t t =
+      visible.destination == kNoVertex ? 0 : static_cast<uint64_t>(visible.destination);
+  return visible.source == kNoVertex ? t : static_cast<uint64_t>(visible.source) * n + t;
+}
+
 }  // namespace
 
 GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern& pattern,
@@ -361,12 +371,14 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
   GroupRouteTally tally;
   if (count <= 0) return tally;
   const Graph& g = ctx.graph();
-  const RoutingModel model = pattern.model();
   const auto nvtx = static_cast<uint64_t>(g.num_vertices());
-  // Class ids must fit 31 bits for the packed cache key; the source-
-  // destination class is s * n + t < n^2, so any n <= 46340 caches (larger
-  // graphs fall back to calling the pattern every hop, still lockstep).
-  const bool cacheable_graph = g.num_vertices() <= 46340;
+  // Class ids must fit 31 bits for the packed cache key. A pattern that sees
+  // the source has classes s * n + t < n^2, so it caches on graphs of n <=
+  // 46340 (larger graphs fall back to calling the pattern every hop, still
+  // lockstep); a destination class t < n always fits.
+  const VertexId last = g.num_vertices() - 1;
+  const bool cacheable_graph =
+      header_class(masked(Header{last, last}, pattern), nvtx) < (uint64_t{1} << 31);
   ws.begin_session(ctx, pattern);
 
 #ifndef NDEBUG
@@ -387,8 +399,9 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
     int sid[64];
     VertexId node[64];
     VertexId dest[64];
-    uint64_t cls[64];  // header class, pre-shifted into the key's high half
-    uint64_t fw[64];   // failure word (edge-word mode)
+    Header visible[64];  // the header forward() sees
+    uint64_t cls[64];    // its class, pre-shifted into the key's high half
+    uint64_t fw[64];     // failure word (edge-word mode)
     const IdSet* fset[64];
     int gslot[64];
     for (int p = 0; p < width; ++p) {
@@ -411,17 +424,8 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
       }
       sid[p] = ctx.state_id(s, kNoEdge);
       node[p] = s;
-      switch (model) {
-        case RoutingModel::kSourceDestination:
-          cls[p] = (static_cast<uint64_t>(s) * nvtx + static_cast<uint64_t>(t)) << 32;
-          break;
-        case RoutingModel::kDestinationOnly:
-          cls[p] = static_cast<uint64_t>(t) << 32;
-          break;
-        case RoutingModel::kTouring:
-          cls[p] = 0;  // the model sees no header: one class for everything
-          break;
-      }
+      visible[p] = masked(Header{s, t}, pattern);
+      cls[p] = header_class(visible[p], nvtx) << 32;
     }
 
     // Lockstep rounds: every active packet advances one hop per round, so a
@@ -453,19 +457,8 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
         int64_t dec =
             cacheable ? ws.lookup_decision(key_cs, pmask) : RoutingWorkspace::kDecisionMiss;
         if (dec == RoutingWorkspace::kDecisionMiss) {
-          Header visible;
-          switch (model) {
-            case RoutingModel::kSourceDestination:
-              visible = Header{sources[base + p], destinations[base + p]};
-              break;
-            case RoutingModel::kDestinationOnly:
-              visible = Header{kNoVertex, destinations[base + p]};
-              break;
-            case RoutingModel::kTouring:
-              break;  // sees nothing
-          }
-          const int32_t edge =
-              compute_decision(ctx, pattern, *fset[p], at, ctx.state_inport(state), visible, ws);
+          const int32_t edge = compute_decision(ctx, pattern, *fset[p], at,
+                                                ctx.state_inport(state), visible[p], ws);
           // Cache the *transition* (next state id), not the edge: the hit
           // path then needs no other_endpoint/state_id reconstruction.
           dec = edge < 0 ? edge : ctx.state_id(g.other_endpoint(edge, at), edge);

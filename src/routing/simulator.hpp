@@ -157,10 +157,16 @@ class RoutingWorkspace {
   // per-(node, group-slot) port masks of the locally failed edges, epoch-
   // stamped so begin_chunk resets them in O(1). Per *workspace lifetime*: a
   // flat open-addressing cache of forwarding transitions keyed by
-  // (header class, state id, local port mask) — the pattern's determinism
-  // contract makes the next state a pure function of that key, and local
-  // masks repeat massively across the failure sets of an exhaustive stream,
-  // so after warmup almost every hop is one hash probe instead of a
+  // (header class, state id, local port mask), where the header class names
+  // the header fields the pattern reads: (source, destination) for a
+  // source-destination pattern whose reads_source() is true, the
+  // destination alone for one that ignores the source or is
+  // destination-only, nothing for touring. forward() is shown only those
+  // fields, so the pattern's determinism contract makes the next state a
+  // pure function of that key — and a pattern that ignores the source holds
+  // one entry per destination, not one per (source, destination) pair.
+  // Local masks repeat massively across the failure sets of an exhaustive
+  // stream, so after warmup almost every hop is one hash probe instead of a
   // pattern.forward() call. The cache is tied to one (graph, pattern)
   // identity via Graph::uid / ForwardingPattern::uid — never-reused tokens,
   // so a workspace persisted across calls (and across SweepEngine runs)
@@ -240,6 +246,12 @@ class RoutingWorkspace {
   /// Inserts a computed transition (no-op once the cache is at capacity).
   void insert_decision(uint64_t key_cs, uint64_t key_mask, int64_t next);
 
+  /// Transitions resident in the decision cache, and inserts it refused at
+  /// its capacity cap, both since it was last flushed (a begin_session with
+  /// a new graph or pattern identity).
+  [[nodiscard]] size_t decision_cache_entries() const { return dc_size_; }
+  [[nodiscard]] int64_t decision_cache_dropped() const { return dc_dropped_; }
+
  private:
   /// One decision-cache entry, padded to 32 bytes so a probe touches one
   /// cache line (the 3-parallel-array layout it replaces touched three).
@@ -291,6 +303,7 @@ class RoutingWorkspace {
   static constexpr uint64_t kEmptySlot = ~uint64_t{0};
   std::vector<DecisionSlot> dc_;
   size_t dc_size_ = 0;
+  int64_t dc_dropped_ = 0;       // inserts refused at the capacity cap
   uint64_t dc_graph_uid_ = 0;    // cache identity: graph ... (0 = unbound)
   uint64_t dc_pattern_uid_ = 0;  // ... and pattern uids
 };
@@ -312,8 +325,8 @@ struct FastRouteResult {
 
 /// Routes one packet from `source` toward `header.destination` under the
 /// (global) failure set; the pattern only ever sees failures incident to the
-/// current node. The header is masked according to the pattern's model
-/// before every forwarding call.
+/// current node. The header is masked according to the pattern's model and
+/// reads_source() before every forwarding call.
 [[nodiscard]] RoutingResult route_packet(const Graph& g, const ForwardingPattern& pattern,
                                          const IdSet& failures, VertexId source, Header header);
 
@@ -352,9 +365,11 @@ struct GroupRouteTally {
 /// One 64-bit word per (state, chunk) carries the packets' seen bits,
 /// termination is tracked in per-outcome words, and the tallies accumulate
 /// via popcount per round. Forwarding transitions are memoized in the
-/// workspace keyed by (header class, state id, local failure port mask) —
-/// sound because the pattern contract makes them a pure function of that
-/// key — so repeated states inside a chunk and across groups, calls and
+/// workspace keyed by (header class, state id, local failure port mask),
+/// where the class is computed once per packet from the header forward()
+/// sees (the source masked unless the pattern reads it) — sound because the
+/// pattern contract makes a transition a pure function of that key — so
+/// repeated states inside a chunk and across groups, sources, calls and
 /// engine runs skip pattern.forward entirely.
 ///
 /// Per packet, the outcome and hop count are bit-identical to

@@ -23,7 +23,8 @@
 // exhaustive groups and Monte Carlo singletons still fill the word-packed
 // machinery) whose seen/terminated state lives in 64-bit words, with
 // forwarding transitions memoized per (header class, state, local failure
-// mask) in the worker's workspace. Worker scratch persists across runs in an
+// mask) in the worker's workspace, the class naming only the header fields
+// the pattern reads. Worker scratch persists across runs in an
 // engine-owned pool, so the decision cache stays warm for repeated sweeps of
 // the same (graph, pattern). Outcomes and hop counts are bit-identical to
 // route_packet_fast one packet at a time (tests/group_route_test pins this).

@@ -782,6 +782,49 @@ bool row_from_json(const JsonValue& row, int64_t index, PairStats& out, std::str
          check_stats(out.stats, stats_block, error);
 }
 
+/// The number or literal spelled around byte `at` of `s`, or the byte
+/// itself when `at` sits between tokens ("end of input" past the end).
+std::string spelling_at(const std::string& s, size_t at) {
+  const auto in_token = [](char c) {
+    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' || c == '+' || c == '-';
+  };
+  size_t begin = std::min(at, s.size());
+  size_t end = begin;
+  while (begin > 0 && in_token(s[begin - 1])) --begin;
+  while (end < s.size() && in_token(s[end])) ++end;
+  if (begin < end) return s.substr(begin, end - begin);
+  return at < s.size() ? s.substr(at, 1) : "end of input";
+}
+
+/// Accepts `text` only if it is `engine`, the writer's bytes for what was
+/// parsed from it, byte for byte (trailing whitespace after the document,
+/// such as write_json_file's newline, is framing). Otherwise names the first
+/// differing byte's offset, the key whose value holds it, and both spellings.
+bool check_engine_bytes(const std::string& text, const std::string& engine,
+                        std::string* error) {
+  const size_t common = std::min(text.size(), engine.size());
+  const size_t at = static_cast<size_t>(
+      std::mismatch(text.begin(), text.begin() + static_cast<std::ptrdiff_t>(common),
+                    engine.begin())
+          .first -
+      text.begin());
+  if (at == engine.size() &&
+      text.find_first_not_of(" \t\r\n", engine.size()) == std::string::npos) {
+    return true;
+  }
+  // The bytes before `at` agree, so the last key the engine wrote before it
+  // is the key the input spells differently.
+  std::string key = "the report object";
+  const size_t colon = at == 0 ? std::string::npos : engine.rfind("\":", at - 1);
+  if (colon != std::string::npos && colon > 0) {
+    const size_t open = engine.rfind('"', colon - 1);
+    if (open != std::string::npos) key = "'" + engine.substr(open + 1, colon - open - 1) + "'";
+  }
+  return fail_parse(error, "not the engine's bytes at byte offset " + std::to_string(at) +
+                               " in " + key + ": read '" + spelling_at(text, at) +
+                               "' where the engine writes '" + spelling_at(engine, at) + "'");
+}
+
 }  // namespace
 
 bool parse_json(const std::string& text, JsonValue& out, size_t* stop_offset) {
@@ -912,6 +955,15 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
   if (!report.per_pair.empty() && !check_rows_fold_to_totals(report, error)) {
     return std::nullopt;
   }
+  // Only the engine's bytes are a report: re-encode with the writer the
+  // provenance names and compare. This rejects a derived rate that does not
+  // follow from its counters, a number the writer would spell differently,
+  // and any whitespace inside the document.
+  const std::string engine =
+      shard_info.present ? to_json_shard(report, shard_info.index, shard_info.count)
+      : incomplete_info.present ? to_json_partial(report, incomplete_info)
+                                : to_json(report);
+  if (!check_engine_bytes(text, engine, error)) return std::nullopt;
   if (shard != nullptr) *shard = shard_info;
   if (incomplete != nullptr) *incomplete = std::move(incomplete_info);
   return report;

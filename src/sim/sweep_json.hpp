@@ -208,10 +208,13 @@ struct ShardInfo {
 /// to_json_partial. Every object must carry exactly the writer's keys in
 /// the writer's order (an unknown, misspelled, repeated or missing key is
 /// an error naming the key and its block). Reads the exact fields only
-/// (integer counters, max_stretch) and ignores derived rates, so
-/// serializing the result reproduces the input byte for byte. Returns
-/// nullopt on malformed input; fills *shard / *incomplete when the report
-/// carries that provenance.
+/// (integer counters, max_stretch), then re-encodes the result with the
+/// writer its provenance names and accepts only if that reproduces the
+/// input byte for byte (trailing whitespace aside): a derived rate that
+/// does not follow from its counters, or a number spelled other than the
+/// writer spells it, is rejected with the byte offset, the enclosing key
+/// and both spellings. Returns nullopt on malformed input; fills *shard /
+/// *incomplete when the report carries that provenance.
 /// On failure, *error (when non-null) gets a diagnosis worth relaying to
 /// the operator — "empty file (0 bytes)", "JSON syntax error at byte
 /// offset N", or the missing/invalid field — instead of a generic parse

@@ -17,7 +17,8 @@
 #      by the checkpoint.meta guard;
 #   4. diagnostics and flag validation — merge names the file, shard, and
 #      byte offset of a truncated input, the field of a well-formed report
-#      whose counters do not add up, and a misspelled key; a --json path
+#      whose counters do not add up, a misspelled key, and the first byte
+#      of a consistent report that is not the engine's bytes; a --json path
 #      that cannot be written (/dev/full) fails the command with its name;
 #      supervision flags without --procs and malformed POFL_FAULT specs are
 #      hard errors.
@@ -175,6 +176,18 @@ string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
 file(WRITE "${WORK_DIR}/misspelled.json" "${k5_head}\"mean_hosp\"${k5_tail}")
 run_cli(FALSE - merge "${WORK_DIR}/misspelled.json")
 expect_contains("${cli_err}" "unknown key 'mean_hosp' in totals" "misspelled-key diagnostic")
+# Only the engine's bytes are a report: the first "delivery_rate":1 turned
+# into 0.25 keeps every counter consistent, but is not what the engine
+# writes for them, and merge names the byte, the key and both spellings.
+string(FIND "${k5_bytes}" "\"delivery_rate\":1" rate_at)
+string(SUBSTRING "${k5_bytes}" 0 ${rate_at} k5_head)
+math(EXPR k5_tail_at "${rate_at} + 17")
+string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
+file(WRITE "${WORK_DIR}/rerated.json" "${k5_head}\"delivery_rate\":0.25${k5_tail}")
+run_cli(FALSE - merge "${WORK_DIR}/rerated.json")
+expect_contains("${cli_err}"
+                "not the engine's bytes at byte offset 249 in 'delivery_rate': read '0.25'"
+                "derived-rate diagnostic")
 
 # 4c. A report that cannot be written fails the command and names the path,
 # also when the error only surfaces as the file is flushed and closed.

@@ -597,6 +597,44 @@ TEST(ShardJson, KeysTheWriterCannotWriteAreRejected) {
                   "missing key 'attempts' in 'incomplete'");
 }
 
+TEST(ShardJson, OnlyTheEnginesBytesAreAccepted) {
+  // A report is accepted only if re-encoding what was read reproduces it
+  // byte for byte; the error names the offset, the key and both spellings.
+  std::string golden;
+  ASSERT_TRUE(read_file(baseline_path("sweep_k5_exhaustive.json"), golden));
+  ASSERT_TRUE(report_from_json(golden).has_value());  // the file's newline is framing
+  const auto expect_rejected = [](std::string text, const std::string& from,
+                                  const std::string& to, const std::string& needle) {
+    const size_t pos = text.find(from);
+    ASSERT_NE(pos, std::string::npos) << from;
+    text.replace(pos, from.size(), to);
+    std::string error;
+    EXPECT_FALSE(report_from_json(text, nullptr, &error).has_value()) << needle;
+    EXPECT_NE(error.find(needle), std::string::npos) << error;
+  };
+  // A derived rate that does not follow from its counters.
+  expect_rejected(golden, "\"delivery_rate\":1", "\"delivery_rate\":0.25",
+                  "not the engine's bytes at byte offset 249 in 'delivery_rate': read '0.25' "
+                  "where the engine writes '1'");
+  // An exact field the writer spells differently, and whitespace.
+  expect_rejected(golden, "\"max_stretch\":0", "\"max_stretch\":0.0",
+                  "in 'max_stretch': read '0.0' where the engine writes '0'");
+  expect_rejected(golden, "{\"total\":", "{\"total\": ",
+                  "in 'total': read ' ' where the engine writes '4096'");
+  expect_rejected(golden, "\n", " x", "JSON syntax error");
+  // Shard and partial provenance re-encode with their own writers.
+  const SweepReport good = stretch_shard_reports(1)[0];
+  expect_rejected(to_json_shard(good, 0, 2), "\"mean_hops\":", "\"mean_hops\":9",
+                  "in 'mean_hops': read '9");
+  IncompleteInfo incomplete;
+  incomplete.present = true;
+  incomplete.shard_count = 2;
+  incomplete.missing_shards = {1};
+  incomplete.attempts = {3};
+  expect_rejected(to_json_partial(good, incomplete), "\"loop_rate\":", "\"loop_rate\":0.5",
+                  "in 'loop_rate': read '0.5");
+}
+
 TEST(ShardJson, MalformedInputIsRejected) {
   EXPECT_FALSE(report_from_json("").has_value());
   EXPECT_FALSE(report_from_json("{").has_value());
