@@ -503,17 +503,18 @@ int run_procs(const SweepConfig& cfg, const Graph& g) {
 
   // Shard output is only believed when it parses and carries the right
   // provenance — run both after every clean exit and as the checkpoint
-  // probe before the first spawn.
+  // probe before the first spawn. The report it accepts is kept for the
+  // merge, so each shard file is read and parsed once.
+  std::vector<std::optional<SweepReport>> shard_reports(static_cast<size_t>(cfg.procs));
   const auto validate = [&](int shard, std::string& error) -> bool {
     const std::string& path = shard_files[static_cast<size_t>(shard)];
     if (!std::filesystem::exists(path)) {
       error = "no output file";
       return false;
     }
-    const std::string text = read_file(path);
     ShardInfo info;
     std::string parse_error;
-    const auto report = report_from_json(text, &info, &parse_error);
+    auto report = report_from_json(read_file(path), &info, &parse_error);
     if (!report.has_value()) {
       error = path + ": " + parse_error;
       return false;
@@ -523,6 +524,7 @@ int run_procs(const SweepConfig& cfg, const Graph& g) {
               std::to_string(shard) + "/" + std::to_string(cfg.procs) + ")";
       return false;
     }
+    shard_reports[static_cast<size_t>(shard)] = std::move(report);
     return true;
   };
 
@@ -541,24 +543,12 @@ int run_procs(const SweepConfig& cfg, const Graph& g) {
     }
   };
 
-  // Merge whatever completed, in shard order (associative and commutative
-  // bit for bit, but deterministic order keeps runs comparable).
+  // Merge whatever completed — exactly the shards whose report validate
+  // kept — in shard order (associative and commutative bit for bit, but
+  // deterministic order keeps runs comparable).
   SweepReport merged;
-  for (int i = 0; i < cfg.procs; ++i) {
-    if (!result.shards[static_cast<size_t>(i)].completed) continue;
-    ShardInfo info;
-    std::string parse_error;
-    const auto report =
-        report_from_json(read_file(shard_files[static_cast<size_t>(i)]), &info, &parse_error);
-    if (!report.has_value()) {
-      // Validated moments ago; losing it now means the filesystem is
-      // actively fighting us — not a retryable worker fault.
-      std::fprintf(stderr, "error: shard report %s vanished or corrupted after validation: %s\n",
-                   shard_files[static_cast<size_t>(i)].c_str(), parse_error.c_str());
-      cleanup();
-      return 1;
-    }
-    merged.merge(*report);
+  for (const auto& report : shard_reports) {
+    if (report.has_value()) merged.merge(*report);
   }
 
   if (result.resumed_from_checkpoint() > 0) {

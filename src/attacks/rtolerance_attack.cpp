@@ -31,11 +31,13 @@ IdSet local_view(const Graph& g, VertexId at, const std::vector<VertexId>& alive
 
 /// What the pattern outputs at `at` (arriving from `from`) under the given
 /// view; kNoVertex if it drops or bounces anywhere other than a neighbor.
+/// The pattern sees the header the simulated walk shows it, so the plan and
+/// the walk that verifies it agree.
 VertexId probe(const Graph& g, const ForwardingPattern& pattern, VertexId at, VertexId from,
                const std::vector<VertexId>& alive_neighbors, const Header& header) {
   const IdSet view = local_view(g, at, alive_neighbors);
   const auto inport = from == kNoVertex ? kNoEdge : *g.edge_between(from, at);
-  const auto out = pattern.forward(g, at, inport, view, header);
+  const auto out = pattern.forward(g, at, inport, view, visible_header(pattern, header));
   if (!out.has_value()) return kNoVertex;
   return g.other_endpoint(*out, at);
 }

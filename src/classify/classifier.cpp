@@ -64,9 +64,12 @@ Classification classify_topology(const Graph& g, const ClassifyOptions& opts) {
   }
 
   // ---- Source-destination -------------------------------------------------
+  // K7^-1 contains K5 and K4,4^-1 contains K3,3, so a planar host (no K5 or
+  // K3,3 minor, by Kuratowski-Wagner) has neither: skip both searches.
   bool sd_impossible =
-      !k4_free && (has_forbidden_minor(g, make_complete_minus(7, 1), opts) ||
-                   has_forbidden_minor(g, make_complete_bipartite_minus(4, 4, 1), opts));
+      !k4_free && !out.planar &&
+      (has_forbidden_minor(g, make_complete_minus(7, 1), opts) ||
+       has_forbidden_minor(g, make_complete_bipartite_minus(4, 4, 1), opts));
   bool sd_possible = out.destination == Verdict::kPossible;
   if (!sd_impossible && !sd_possible) {
     // Theorems 8/9: minors of K5 and K3,3 are source-destination routable.

@@ -42,7 +42,7 @@ enum class RoutingModel {
 
 /// Immutable packet header. Fields a model must not depend on, and the
 /// source for a pattern whose reads_source() is false, are set to kNoVertex
-/// by the simulator, so a pattern cannot cheat.
+/// by visible_header() before forward() sees them, so a pattern cannot cheat.
 struct Header {
   VertexId source = kNoVertex;
   VertexId destination = kNoVertex;
@@ -98,5 +98,19 @@ class ForwardingPattern {
 
   uint64_t uid_ = next_uid();
 };
+
+/// The header `pattern` may see: the source hidden unless the model allows
+/// it and reads_source() says forward() reads it, the destination hidden in
+/// the touring model. Every caller hands forward() only this header, so a
+/// pattern cannot read a field its model forbids, and the decision cache,
+/// keyed by it, is exact by construction.
+[[nodiscard]] inline Header visible_header(const ForwardingPattern& pattern,
+                                           const Header& header) {
+  const RoutingModel model = pattern.model();
+  Header h = header;
+  if (model != RoutingModel::kSourceDestination || !pattern.reads_source()) h.source = kNoVertex;
+  if (model == RoutingModel::kTouring) h.destination = kNoVertex;
+  return h;
+}
 
 }  // namespace pofl

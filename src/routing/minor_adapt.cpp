@@ -19,6 +19,7 @@ class DeletionAdaptedPattern final : public ForwardingPattern {
 
   [[nodiscard]] RoutingModel model() const override { return inner_->model(); }
   [[nodiscard]] std::string name() const override { return inner_->name() + "+deletion"; }
+  [[nodiscard]] bool reads_source() const override { return inner_->reads_source(); }
 
   [[nodiscard]] std::optional<EdgeId> forward(const Graph& g, VertexId at, EdgeId inport,
                                               const IdSet& local_failures,
@@ -67,6 +68,7 @@ class ContractionAdaptedPattern final : public ForwardingPattern {
 
   [[nodiscard]] RoutingModel model() const override { return inner_->model(); }
   [[nodiscard]] std::string name() const override { return inner_->name() + "+contraction"; }
+  [[nodiscard]] bool reads_source() const override { return inner_->reads_source(); }
 
   [[nodiscard]] std::optional<EdgeId> forward(const Graph& g, VertexId at, EdgeId inport,
                                               const IdSet& local_failures,

@@ -7,18 +7,6 @@ namespace pofl {
 
 namespace {
 
-/// Masks the header fields the pattern may not read (by its model) or does
-/// not read (reads_source() false). Both routing cores hand forward() only
-/// this header, so the decision cache, keyed by it, is exact by
-/// construction: no pattern can read a field that is not in its key.
-Header masked(const Header& header, const ForwardingPattern& pattern) {
-  const RoutingModel model = pattern.model();
-  Header h = header;
-  if (model != RoutingModel::kSourceDestination || !pattern.reads_source()) h.source = kNoVertex;
-  if (model == RoutingModel::kTouring) h.destination = kNoVertex;
-  return h;
-}
-
 /// The shared routing core. `walk` is optional: the fast path passes nullptr
 /// and skips all recording; the classic path passes the result vector. Both
 /// run the exact same control flow, so outcomes and hop counts agree bit for
@@ -27,7 +15,7 @@ RoutingOutcome route_core(const SimContext& ctx, const ForwardingPattern& patter
                           const IdSet& failures, VertexId source, const Header& header,
                           RoutingWorkspace& ws, int& hops, std::vector<VertexId>* walk) {
   const Graph& g = ctx.graph();
-  const Header visible = masked(header, pattern);
+  const Header visible = visible_header(pattern, header);
   const VertexId destination = header.destination;
   assert(destination != kNoVertex && "route_packet needs a destination to detect delivery");
 
@@ -336,7 +324,7 @@ FastRouteResult route_packet_fast(const SimContext& ctx, const ForwardingPattern
 namespace {
 
 /// One uncached forwarding decision, the exact control flow of route_core's
-/// hop body: masked header in, out edge id or a drop/invalid sentinel out.
+/// hop body: visible header in, out edge id or a drop/invalid sentinel out.
 int32_t compute_decision(const SimContext& ctx, const ForwardingPattern& pattern,
                          const IdSet& failures, VertexId at, EdgeId inport,
                          const Header& visible, RoutingWorkspace& ws) {
@@ -352,7 +340,7 @@ int32_t compute_decision(const SimContext& ctx, const ForwardingPattern& pattern
   return oe;
 }
 
-/// The decision-cache class of a masked header: s * n + t when the source is
+/// The decision-cache class of a visible header: s * n + t when the source is
 /// visible, t when only the destination is, 0 when neither is. Injective
 /// over the headers one pattern can see, so a class and a state id name
 /// exactly the header and state forward() is called with.
@@ -378,7 +366,7 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
   // lockstep); a destination class t < n always fits.
   const VertexId last = g.num_vertices() - 1;
   const bool cacheable_graph =
-      header_class(masked(Header{last, last}, pattern), nvtx) < (uint64_t{1} << 31);
+      header_class(visible_header(pattern, Header{last, last}), nvtx) < (uint64_t{1} << 31);
   ws.begin_session(ctx, pattern);
 
 #ifndef NDEBUG
@@ -424,7 +412,7 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
       }
       sid[p] = ctx.state_id(s, kNoEdge);
       node[p] = s;
-      visible[p] = masked(Header{s, t}, pattern);
+      visible[p] = visible_header(pattern, Header{s, t});
       cls[p] = header_class(visible[p], nvtx) << 32;
     }
 

@@ -8,7 +8,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <span>
 #include <utility>
 
 namespace pofl {
@@ -342,12 +341,12 @@ std::string to_json_partial(const SweepReport& report, const IncompleteInfo& inc
   return w.take();
 }
 
-// ---- parser ----------------------------------------------------------------
-// A minimal recursive-descent JSON reader, just enough for the shard/merge
-// round-trip: objects, arrays, strings, numbers (kept as raw spellings so
-// integers parse exactly), true/false/null. No dependency, no surprises.
-// Nesting is capped at kMaxJsonDepth, so hostile input cannot run the
-// recursion off the end of the stack.
+// ---- parsers ---------------------------------------------------------------
+// parse_json: a minimal recursive-descent reader for the daemon's requests
+// and submit's envelope: objects, arrays, strings, numbers (kept as raw
+// spellings so integers parse exactly), true/false/null. Nesting is capped
+// at kMaxJsonDepth, so hostile input cannot run the recursion off the end of
+// the stack. Reports take ReportCursor below, which builds no tree.
 
 namespace {
 
@@ -367,12 +366,7 @@ class JsonParser {
   [[nodiscard]] size_t stop_offset() const { return pos_; }
 
  private:
-  void skip_ws() {
-    while (pos_ < s_.size() && (s_[pos_] == ' ' || s_[pos_] == '\t' || s_[pos_] == '\n' ||
-                                s_[pos_] == '\r')) {
-      ++pos_;
-    }
-  }
+  void skip_ws() { pos_ = std::min(s_.find_first_not_of(" \t\n\r", pos_), s_.size()); }
 
   bool literal(const char* word) {
     const size_t len = std::strlen(word);
@@ -389,7 +383,7 @@ class JsonParser {
         // A container one level too deep stops at its opening byte.
         if (depth_ == kMaxJsonDepth) return false;
         ++depth_;
-        const bool ok = s_[pos_] == '{' ? parse_object(out) : parse_array(out);
+        const bool ok = parse_container(out);
         --depth_;
         return ok;
       }
@@ -412,59 +406,42 @@ class JsonParser {
     }
   }
 
-  bool parse_object(JsonValue& out) {
-    out.kind = JsonValue::Kind::kObject;
-    ++pos_;  // '{'
+  /// An object or array, its opening byte at pos_. Elements are separated
+  /// by ',' and an object's each carry a string key and ':'.
+  bool parse_container(JsonValue& out) {
+    const bool object = s_[pos_] == '{';
+    const char close = object ? '}' : ']';
+    out.kind = object ? JsonValue::Kind::kObject : JsonValue::Kind::kArray;
+    ++pos_;
     skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == '}') {
+    if (pos_ < s_.size() && s_[pos_] == close) {
       ++pos_;
       return true;
     }
     for (;;) {
       skip_ws();
       std::string key;
-      if (!parse_string(key)) return false;
-      skip_ws();
-      if (pos_ >= s_.size() || s_[pos_] != ':') return false;
-      ++pos_;
-      skip_ws();
+      if (object) {
+        if (!parse_string(key)) return false;
+        skip_ws();
+        if (pos_ >= s_.size() || s_[pos_] != ':') return false;
+        ++pos_;
+        skip_ws();
+      }
       JsonValue value;
       if (!parse_value(value)) return false;
-      out.fields.emplace_back(std::move(key), std::move(value));
+      if (object) {
+        out.fields.emplace_back(std::move(key), std::move(value));
+      } else {
+        out.items.push_back(std::move(value));
+      }
       skip_ws();
       if (pos_ >= s_.size()) return false;
       if (s_[pos_] == ',') {
         ++pos_;
         continue;
       }
-      if (s_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  bool parse_array(JsonValue& out) {
-    out.kind = JsonValue::Kind::kArray;
-    ++pos_;  // '['
-    skip_ws();
-    if (pos_ < s_.size() && s_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      JsonValue value;
-      if (!parse_value(value)) return false;
-      out.items.push_back(std::move(value));
-      skip_ws();
-      if (pos_ >= s_.size()) return false;
-      if (s_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      if (s_[pos_] == ']') {
+      if (s_[pos_] == close) {
         ++pos_;
         return true;
       }
@@ -484,40 +461,18 @@ class JsonParser {
       }
       if (pos_ >= s_.size()) return false;
       c = s_[pos_++];
-      switch (c) {
-        case '"':
-        case '\\':
-        case '/':
-          out += c;
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > s_.size()) return false;
-          const long code = std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16);
-          pos_ += 4;
-          // The writer only escapes control characters; decode the
-          // single-byte range and reject anything it cannot have written.
-          if (code < 0 || code > 0xff) return false;
-          out += static_cast<char>(code);
-          break;
-        }
-        default:
-          return false;
+      const size_t letter = std::string_view("\"\\/ntrbf").find(c);
+      if (letter != std::string_view::npos) {
+        out += "\"\\/\n\t\r\b\f"[letter];
+        continue;
       }
+      if (c != 'u' || pos_ + 4 > s_.size()) return false;
+      const long code = std::strtol(s_.substr(pos_, 4).c_str(), nullptr, 16);
+      pos_ += 4;
+      // The writer only escapes control characters; decode the single-byte
+      // range and reject anything it cannot have written.
+      if (code < 0 || code > 0xff) return false;
+      out += static_cast<char>(code);
     }
     if (pos_ >= s_.size()) return false;
     ++pos_;  // closing quote
@@ -526,12 +481,7 @@ class JsonParser {
 
   bool parse_number(JsonValue& out) {
     const size_t start = pos_;
-    if (pos_ < s_.size() && s_[pos_] == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) || s_[pos_] == '.' ||
-            s_[pos_] == 'e' || s_[pos_] == 'E' || s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
+    pos_ = std::min(s_.find_first_not_of("0123456789.eE+-", pos_), s_.size());
     if (pos_ == start) return false;
     out.kind = JsonValue::Kind::kNumber;
     out.text = s_.substr(start, pos_ - start);
@@ -559,109 +509,52 @@ struct Block {
   [[nodiscard]] std::string where() const {
     return std::string(" in ") + name + (row >= 0 ? " " + std::to_string(row) : "");
   }
+  /// " at byte offset N in <block>": where a rejection points.
+  [[nodiscard]] std::string at(size_t offset) const {
+    return " at byte offset " + std::to_string(offset) + where();
+  }
 };
 
-/// The keys of each object the writer emits, in its order.
-constexpr std::string_view kReportKeys[] = {"totals", "per_pair"};
-constexpr std::string_view kRowKeys[] = {"source", "destination", "stats"};
-constexpr std::string_view kShardKeys[] = {"index", "count"};
-constexpr std::string_view kIncompleteKeys[] = {"shard_count", "missing_shards", "attempts"};
-constexpr std::string_view kStatsKeys[] = {
-    "total",          "promise_broken",  "promise_held",    "delivered",
-    "looped",         "dropped",         "invalid",         "failures_seen",
-    "hops_delivered", "stretch_samples", "stretch_sum_q32", "stretch_sum",
-    "max_stretch",    "delivery_rate",   "loop_rate",       "drop_rate",
-    "invalid_rate",   "mean_failures",   "mean_hops",       "mean_stretch"};
-constexpr size_t kMaxStretchAt = 12;
-static_assert(kStatsKeys[kMaxStretchAt] == "max_stretch");
-
-/// Requires `obj` to hold exactly `keys` from field `first` on, in order:
-/// the only spelling the writer emits. The accepting path costs one
-/// comparison per field; an unknown, repeated, missing or misplaced key is
-/// diagnosed only on rejection.
-bool check_keys(const JsonValue& obj, size_t first, std::span<const std::string_view> keys,
-                const Block& block, std::string* error) {
-  const auto& fields = obj.fields;
-  for (size_t i = 0; i < keys.size() || first + i < fields.size(); ++i) {
-    if (first + i == fields.size()) {
-      return fail_parse(error, "missing key '" + std::string(keys[i]) + "'" + block.where());
-    }
-    const std::string& got = fields[first + i].first;
-    if (i < keys.size() && got == keys[i]) continue;
-    const auto known = std::find(keys.begin(), keys.end(), got);
-    if (known == keys.end()) {
-      return fail_parse(error, "unknown key '" + got + "'" + block.where());
-    }
-    if (known < keys.begin() + static_cast<ptrdiff_t>(i)) {
-      return fail_parse(error, "repeated key '" + got + "'" + block.where());
-    }
-    return fail_parse(error, "expected key '" + std::string(keys[i]) + "' but found '" + got +
-                                 "'" + block.where());
-  }
-  return true;
-}
-
-/// The integer counters of a stats block: where each sits in kStatsKeys.
+/// The integer counters of a stats block.
 struct StatsCounter {
-  size_t at;
+  const char* key;
   int64_t SweepStats::*field;
-
-  [[nodiscard]] std::string key() const { return std::string(kStatsKeys[at]); }
 };
 constexpr StatsCounter kStatsCounters[] = {
-    {0, &SweepStats::total},           {1, &SweepStats::promise_broken},
-    {3, &SweepStats::delivered},       {4, &SweepStats::looped},
-    {5, &SweepStats::dropped},         {6, &SweepStats::invalid},
-    {7, &SweepStats::failures_seen},   {8, &SweepStats::hops_delivered},
-    {9, &SweepStats::stretch_samples}, {10, &SweepStats::stretch_sum_q32},
+    {"total", &SweepStats::total},           {"promise_broken", &SweepStats::promise_broken},
+    {"delivered", &SweepStats::delivered},   {"looped", &SweepStats::looped},
+    {"dropped", &SweepStats::dropped},       {"invalid", &SweepStats::invalid},
+    {"failures_seen", &SweepStats::failures_seen},
+    {"hops_delivered", &SweepStats::hops_delivered},
+    {"stretch_samples", &SweepStats::stretch_samples},
+    {"stretch_sum_q32", &SweepStats::stretch_sum_q32},
 };
-
-/// Reads the exact (non-derived) SweepStats fields, by position once the
-/// keys are checked. Derived rates are recomputed by the accessors, so
-/// this is all a byte-exact re-serialization needs: a 12-significant-digit
-/// decimal re-parses to a double that prints back to the same 12 digits,
-/// and everything else is integral.
-bool stats_from_json(const JsonValue& obj, SweepStats& out, const Block& block,
-                     std::string* error) {
-  if (obj.kind != JsonValue::Kind::kObject) {
-    return fail_parse(error, "stats value is not an object" + block.where());
-  }
-  if (!check_keys(obj, 0, kStatsKeys, block, error)) return false;
-  for (const StatsCounter& c : kStatsCounters) {
-    if (!json_read_int(obj.fields[c.at].second, out.*c.field)) {
-      return fail_parse(error, "invalid counter '" + c.key() + "'" + block.where());
-    }
-  }
-  if (!json_read_double(obj.fields[kMaxStretchAt].second, out.max_stretch)) {
-    return fail_parse(error, "invalid 'max_stretch'" + block.where());
-  }
-  return true;
-}
 
 /// Rejects a stats block the engine cannot have written: a negative
 /// counter, outcomes that do not add up to the promise-holding scenarios,
-/// or more stretch samples than deliveries.
-bool check_stats(const SweepStats& st, const Block& block, std::string* error) {
+/// or more stretch samples than deliveries. `offset` is the block's opening
+/// brace.
+bool check_stats(const SweepStats& st, const Block& block, size_t offset, std::string* error) {
   for (const StatsCounter& c : kStatsCounters) {
     if (st.*c.field < 0) {
-      return fail_parse(error, "negative '" + c.key() + "'" + block.where());
+      return fail_parse(error, std::string("negative '") + c.key + "'" + block.at(offset));
     }
   }
-  if (st.max_stretch < 0) return fail_parse(error, "negative 'max_stretch'" + block.where());
+  if (st.max_stretch < 0) return fail_parse(error, "negative 'max_stretch'" + block.at(offset));
   const std::string outcomes_sum = "'delivered' + 'looped' + 'dropped' + 'invalid'";
   int64_t outcomes = 0;
   if (__builtin_add_overflow(st.delivered, st.looped, &outcomes) ||
       __builtin_add_overflow(outcomes, st.dropped, &outcomes) ||
       __builtin_add_overflow(outcomes, st.invalid, &outcomes)) {
-    return fail_parse(error, outcomes_sum + " overflows int64" + block.where());
+    return fail_parse(error, outcomes_sum + " overflows int64" + block.at(offset));
   }
   if (outcomes != st.total - st.promise_broken) {
     return fail_parse(error, outcomes_sum + " = " + std::to_string(outcomes) +
                                  " but 'total' - 'promise_broken' = " +
-                                 std::to_string(st.total - st.promise_broken) + block.where());
+                                 std::to_string(st.total - st.promise_broken) + block.at(offset));
   }
   if (st.stretch_samples > st.delivered) {
-    return fail_parse(error, "'stretch_samples' exceeds 'delivered'" + block.where());
+    return fail_parse(error, "'stretch_samples' exceeds 'delivered'" + block.at(offset));
   }
   return true;
 }
@@ -669,125 +562,56 @@ bool check_stats(const SweepStats& st, const Block& block, std::string* error) {
 /// Rejects per-pair rows that do not fold into the totals: every integer
 /// counter sums exactly (an int64 overflow is an error; the Q32 stretch sum
 /// saturates as the engine's merge does) and max_stretch is the rows' max.
-bool check_rows_fold_to_totals(const SweepReport& report, std::string* error) {
+/// `row_at[i]` is the offset of row i, `totals_at` that of the totals.
+bool check_rows_fold_to_totals(const SweepReport& report, const std::vector<size_t>& row_at,
+                               size_t totals_at, std::string* error) {
   SweepStats sum;
   for (size_t i = 0; i < report.per_pair.size(); ++i) {
     const SweepStats& row = report.per_pair[i].stats;
     for (const StatsCounter& c : kStatsCounters) {
       if (c.field == &SweepStats::stretch_sum_q32) continue;
       if (__builtin_add_overflow(sum.*c.field, row.*c.field, &(sum.*c.field))) {
-        return fail_parse(error, "'" + c.key() + "' overflows int64 summed up to per_pair row " +
-                                     std::to_string(i));
+        const Block block{"per_pair row", static_cast<int64_t>(i)};
+        return fail_parse(error, std::string("'") + c.key + "' overflows int64 summed up" +
+                                     block.at(row_at[i]));
       }
     }
     sum.stretch_sum_q32 = SweepStats::saturating_add(sum.stretch_sum_q32, row.stretch_sum_q32);
     sum.max_stretch = std::max(sum.max_stretch, row.max_stretch);
   }
+  const Block totals{"totals"};
   for (const StatsCounter& c : kStatsCounters) {
     if (sum.*c.field != report.totals.*c.field) {
-      return fail_parse(error, "per_pair rows sum to '" + c.key() + "' = " +
+      return fail_parse(error, std::string("per_pair rows sum to '") + c.key + "' = " +
                                    std::to_string(sum.*c.field) + " but totals say " +
-                                   std::to_string(report.totals.*c.field));
+                                   std::to_string(report.totals.*c.field) + totals.at(totals_at));
     }
   }
   if (sum.max_stretch != report.totals.max_stretch) {
-    return fail_parse(error, "totals 'max_stretch' is not the max over the per_pair rows");
+    return fail_parse(error, "'max_stretch' is not the max over the per_pair rows" +
+                                 totals.at(totals_at));
   }
   return true;
 }
 
-/// Reads an array of small non-negative ints (the incomplete-block lists).
-bool read_int_array(const JsonValue& value, std::vector<int>& out) {
-  if (value.kind != JsonValue::Kind::kArray) return false;
-  out.clear();
-  for (const JsonValue& item : value.items) {
-    if (item.kind != JsonValue::Kind::kNumber) return false;
-    char* end = nullptr;
-    errno = 0;
-    const long v = std::strtol(item.text.c_str(), &end, 10);
-    if (end == item.text.c_str() || *end != '\0' || errno == ERANGE || v < 0 ||
-        v > 1'000'000) {
-      return false;
-    }
-    out.push_back(static_cast<int>(v));
-  }
-  return true;
+/// Reads `text` whole as a T: a spelling with trailing bytes, or one out of
+/// T's range (an int64 counter that overflows, a 1e999 double), cannot
+/// round-trip and is rejected instead of clamped.
+template <typename T>
+bool read_exact(std::string_view text, T& out) {
+  const char* const last = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), last, out);
+  return !text.empty() && ec == std::errc() && ptr == last;
 }
 
-bool shard_from_json(const JsonValue& spec, ShardInfo& out, std::string* error) {
-  const Block block{"'shard'"};
-  if (spec.kind != JsonValue::Kind::kObject) {
-    return fail_parse(error, "malformed 'shard' provenance block");
-  }
-  if (!check_keys(spec, 0, kShardKeys, block, error)) return false;
-  int64_t index = 0;
-  int64_t count = 0;
-  if (!json_read_int(spec.fields[0].second, index) ||
-      !json_read_int(spec.fields[1].second, count) || count < 1 || index < 0 ||
-      index >= count || count > 1'000'000) {
-    return fail_parse(error, "malformed 'shard' provenance block");
-  }
-  out.index = static_cast<int>(index);
-  out.count = static_cast<int>(count);
-  out.present = true;
-  return true;
-}
-
-bool incomplete_from_json(const JsonValue& inc, IncompleteInfo& out, std::string* error) {
-  const Block block{"'incomplete'"};
-  if (inc.kind != JsonValue::Kind::kObject) {
-    return fail_parse(error, "malformed 'incomplete' provenance block");
-  }
-  if (!check_keys(inc, 0, kIncompleteKeys, block, error)) return false;
-  int64_t count = 0;
-  std::vector<int> missing;
-  std::vector<int> attempts;
-  bool valid = json_read_int(inc.fields[0].second, count) && count >= 1 &&
-               count <= 1'000'000 && read_int_array(inc.fields[1].second, missing) &&
-               read_int_array(inc.fields[2].second, attempts) && !missing.empty() &&
-               missing.size() == attempts.size();
-  for (size_t i = 0; valid && i < missing.size(); ++i) {
-    // Ascending and in range: the canonical spelling the writer emits,
-    // so parse -> serialize stays byte-exact.
-    valid = missing[i] < count && (i == 0 || missing[i] > missing[i - 1]);
-  }
-  if (!valid) return fail_parse(error, "malformed 'incomplete' provenance block");
-  out.present = true;
-  out.shard_count = static_cast<int>(count);
-  out.missing_shards = std::move(missing);
-  out.attempts = std::move(attempts);
-  return true;
-}
-
-bool row_from_json(const JsonValue& row, int64_t index, PairStats& out, std::string* error) {
-  const Block block{"per_pair row", index};
-  if (row.kind != JsonValue::Kind::kObject) return fail_parse(error, "non-object" + block.where());
-  if (!check_keys(row, 0, kRowKeys, block, error)) return false;
-  int64_t source = 0;
-  if (!json_read_int(row.fields[0].second, source)) {
-    return fail_parse(error, "invalid 'source'" + block.where());
-  }
-  out.source = static_cast<VertexId>(source);
-  const JsonValue& destination = row.fields[1].second;
-  int64_t value = 0;
-  if (destination.kind == JsonValue::Kind::kNull) {
-    out.destination = kNoVertex;
-  } else if (json_read_int(destination, value)) {
-    out.destination = static_cast<VertexId>(value);
-  } else {
-    return fail_parse(error, "invalid 'destination'" + block.where());
-  }
-  const Block stats_block{"stats of per_pair row", index};
-  return stats_from_json(row.fields[2].second, out.stats, stats_block, error) &&
-         check_stats(out.stats, stats_block, error);
+/// A byte of a number or literal.
+bool in_token(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' || c == '+' || c == '-';
 }
 
 /// The number or literal spelled around byte `at` of `s`, or the byte
 /// itself when `at` sits between tokens ("end of input" past the end).
 std::string spelling_at(const std::string& s, size_t at) {
-  const auto in_token = [](char c) {
-    return std::isalnum(static_cast<unsigned char>(c)) != 0 || c == '.' || c == '+' || c == '-';
-  };
   size_t begin = std::min(at, s.size());
   size_t end = begin;
   while (begin > 0 && in_token(s[begin - 1])) --begin;
@@ -795,6 +619,242 @@ std::string spelling_at(const std::string& s, size_t at) {
   if (begin < end) return s.substr(begin, end - begin);
   return at < s.size() ? s.substr(at, 1) : "end of input";
 }
+
+/// The report reader: one forward pass over the text that expects the
+/// writer's bytes in the writer's order — append_report_fields and its
+/// provenance blocks, read back call for call. Punctuation and keys are
+/// matched as literals; the exact fields (counters, max_stretch, vertex ids,
+/// provenance) are read in place with std::from_chars; derived values are
+/// stepped over, since report_from_json's re-encode checks them. Every
+/// rejection names the byte offset and what the reader expected there.
+class ReportCursor {
+ public:
+  ReportCursor(const std::string& text, std::string* error) : s_(text), error_(error) {}
+
+  /// Reads the text as one report, which whitespace alone may follow; the
+  /// provenance block, when the report leads with one, into `shard` or
+  /// `incomplete`.
+  bool read(SweepReport& report, ShardInfo& shard, IncompleteInfo& incomplete) {
+    if (!punct('{')) return false;
+    if (next_is("\"shard\":") && !read_shard(shard)) return false;
+    if (next_is("\"incomplete\":") && !read_incomplete(incomplete)) return false;
+    block_ = {"the report object"};
+    if (!key("totals")) return false;
+    const size_t totals_at = pos_;
+    block_ = {"totals"};
+    if (!read_stats(report.totals)) return false;
+    block_ = {"the report object"};
+    if (!key("per_pair") || !punct('[')) return false;
+    std::vector<size_t> row_at;
+    while (!next_is("]")) {
+      block_ = {"per_pair"};
+      if (!item()) return false;
+      row_at.push_back(pos_);
+      if (!read_row(report.per_pair.emplace_back(), static_cast<int64_t>(row_at.size() - 1))) {
+        return false;
+      }
+    }
+    block_ = {"the report object"};
+    if (!punct(']') || !punct('}')) return false;
+    // Whitespace after the document, such as write_json_file's newline, is
+    // framing; anything else is not.
+    const size_t trailing = s_.find_first_not_of(" \t\r\n", pos_);
+    if (trailing != std::string::npos) {
+      return fail_parse(error_, "trailing bytes at byte offset " + std::to_string(trailing) +
+                                    " of " + std::to_string(s_.size()));
+    }
+    return check_rows_fold_to_totals(report, row_at, totals_at, error_);
+  }
+
+ private:
+  // The writer's calls, read back. Each advances past what it matched, or
+  // rejects naming the offset; first_ tracks the comma as JsonWriter does.
+  // punct opens ('{', '[') or closes ('}', ']') a container.
+  bool punct(char c) {
+    if (!byte(c)) return expected(std::string("'") + c + "'");
+    first_ = c == '{' || c == '[';
+    return true;
+  }
+
+  /// The comma before an array element, unless it opens the array.
+  bool item() {
+    if (!std::exchange(first_, false) && !byte(',')) return expected("',' or ']'");
+    return true;
+  }
+
+  bool key(std::string_view k) {
+    if (!first_ && !byte(',')) return expected("key '" + std::string(k) + "'");
+    const std::string_view rest = std::string_view(s_).substr(pos_);
+    if (rest.size() > k.size() + 2 && rest[0] == '"' && rest.substr(1, k.size()) == k &&
+        rest[k.size() + 1] == '"' && rest[k.size() + 2] == ':') {
+      pos_ += k.size() + 3;
+      return true;
+    }
+    return expected("key '" + std::string(k) + "'");
+  }
+
+  /// The token at the cursor: a number or literal.
+  [[nodiscard]] std::string_view token() const {
+    size_t end = pos_;
+    while (end < s_.size() && in_token(s_[end])) ++end;
+    return std::string_view(s_).substr(pos_, end - pos_);
+  }
+
+  /// An exact number, read in place with read_exact.
+  template <typename T>
+  bool number(std::string_view name, T& out) {
+    const std::string_view tok = token();
+    if (tok.empty() || pos_ + tok.size() == s_.size()) {
+      return expected("a number for '" + std::string(name) + "'");
+    }
+    if (!read_exact(tok, out)) {
+      return fail_parse(error_, "invalid '" + std::string(name) + "'" + block_.at(pos_) +
+                                    ": read '" + std::string(tok) + "'");
+    }
+    pos_ += tok.size();
+    first_ = false;
+    return true;
+  }
+
+  template <typename T>
+  bool field(std::string_view name, T& out) { return key(name) && number(name, out); }
+
+  /// A derived value: its key and its token, which the re-encode compares
+  /// with what the counters imply.
+  bool derived(std::string_view name) {
+    if (!key(name)) return false;
+    const size_t size = token().size();
+    if (size == 0) return expected("a number for '" + std::string(name) + "'");
+    pos_ += size;
+    first_ = false;
+    return true;
+  }
+
+  /// append_json(SweepStats), read back; then check_stats on the result.
+  bool read_stats(SweepStats& st) {
+    const size_t at = pos_;
+    return punct('{') && field("total", st.total) && field("promise_broken", st.promise_broken) &&
+           derived("promise_held") && field("delivered", st.delivered) &&
+           field("looped", st.looped) && field("dropped", st.dropped) &&
+           field("invalid", st.invalid) && field("failures_seen", st.failures_seen) &&
+           field("hops_delivered", st.hops_delivered) &&
+           field("stretch_samples", st.stretch_samples) &&
+           field("stretch_sum_q32", st.stretch_sum_q32) && derived("stretch_sum") &&
+           field("max_stretch", st.max_stretch) && derived("delivery_rate") &&
+           derived("loop_rate") && derived("drop_rate") && derived("invalid_rate") &&
+           derived("mean_failures") && derived("mean_hops") && derived("mean_stretch") &&
+           punct('}') && check_stats(st, block_, at, error_);
+  }
+
+  bool read_row(PairStats& row, int64_t index) {
+    block_ = {"per_pair row", index};
+    if (!punct('{') || !field("source", row.source) || !key("destination")) return false;
+    if (next_is("null")) {
+      pos_ += 4;
+      row.destination = kNoVertex;
+      first_ = false;
+    } else if (!number("destination", row.destination)) {
+      return false;
+    }
+    if (!key("stats")) return false;
+    block_ = {"stats of per_pair row", index};
+    if (!read_stats(row.stats)) return false;
+    block_ = {"per_pair row", index};
+    return punct('}');
+  }
+
+  bool read_shard(ShardInfo& out) {
+    block_ = {"'shard'"};
+    if (!key("shard")) return false;
+    const size_t at = pos_;
+    if (!punct('{') || !field("index", out.index) || !field("count", out.count) ||
+        !punct('}')) {
+      return false;
+    }
+    if (out.count < 1 || out.count > 1'000'000 || out.index < 0 || out.index >= out.count) {
+      return fail_parse(error_, "shard " + std::to_string(out.index) + "/" +
+                                    std::to_string(out.count) + " out of range" + block_.at(at));
+    }
+    out.present = true;
+    return true;
+  }
+
+  bool read_incomplete(IncompleteInfo& out) {
+    block_ = {"'incomplete'"};
+    if (!key("incomplete")) return false;
+    const size_t at = pos_;
+    if (!punct('{') || !field("shard_count", out.shard_count) ||
+        !read_list("missing_shards", out.missing_shards) ||
+        !read_list("attempts", out.attempts) || !punct('}')) {
+      return false;
+    }
+    // Strictly ascending shards in range, one attempt count each: the
+    // canonical spelling the writer emits, so parse -> serialize stays exact.
+    const std::vector<int>& missing = out.missing_shards;
+    if (out.shard_count < 1 || out.shard_count > 1'000'000 || missing.empty() ||
+        missing.size() != out.attempts.size() || missing.front() < 0 ||
+        missing.back() >= out.shard_count ||
+        std::adjacent_find(missing.begin(), missing.end(),
+                           [](int a, int b) { return a >= b; }) != missing.end() ||
+        *std::min_element(out.attempts.begin(), out.attempts.end()) < 0) {
+      return fail_parse(error_, "'missing_shards' is not an ascending, non-empty list of "
+                                "shards below 'shard_count' with one 'attempts' each" +
+                                    block_.at(at));
+    }
+    out.present = true;
+    return true;
+  }
+
+  bool read_list(std::string_view name, std::vector<int>& out) {
+    if (!key(name) || !punct('[')) return false;
+    while (!next_is("]")) {
+      if (!item() || !number(name, out.emplace_back())) return false;
+    }
+    return punct(']');
+  }
+
+  bool byte(char c) {
+    if (pos_ == s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  [[nodiscard]] bool next_is(std::string_view bytes) const {
+    return std::string_view(s_).substr(pos_).starts_with(bytes);
+  }
+
+  /// Rejects at the cursor: "expected <what> at byte offset N in <block>,
+  /// found <bytes>", or "truncated at byte offset N of N" when the input
+  /// ends there, or inside the token or the quoted key there.
+  bool expected(const std::string& what) {
+    const std::string_view rest = std::string_view(s_).substr(pos_);
+    if (std::all_of(rest.begin(), rest.end(), in_token) ||
+        (rest[0] == '"' && rest.find('"', 1) >= rest.size() - 1)) {
+      return fail_parse(error_, "truncated at byte offset " + std::to_string(s_.size()) + " of " +
+                                    std::to_string(s_.size()) + ": expected " + what +
+                                    block_.where());
+    }
+    return fail_parse(error_, "expected " + what + block_.at(pos_) + ", found " + found());
+  }
+
+  /// What starts at the cursor: a quoted key whole (past its comma), a
+  /// token, or one byte; at most 64 bytes of it.
+  [[nodiscard]] std::string found() const {
+    size_t at = pos_;
+    if (s_[at] == ',' && at + 1 < s_.size() && s_[at + 1] == '"') ++at;
+    size_t end = at + 1;
+    if (s_[at] == '"') end = std::min(s_.find('"', end), s_.size() - 1) + 1;
+    while (end < s_.size() && in_token(s_[at]) && in_token(s_[end])) ++end;
+    const std::string bytes = s_.substr(at, std::min(end - at, size_t{64}));
+    return s_[at] == '"' ? bytes : "'" + bytes + "'";
+  }
+
+  const std::string& s_;
+  std::string* error_;
+  size_t pos_ = 0;
+  bool first_ = true;  // the next key or element opens its container
+  Block block_{"the report object"};
+};
 
 /// Accepts `text` only if it is `engine`, the writer's bytes for what was
 /// parsed from it, byte for byte (trailing whitespace after the document,
@@ -870,14 +930,7 @@ bool json_read_int(const JsonValue& obj, const std::string& key, int64_t& out) {
 }
 
 bool json_read_int(const JsonValue& value, int64_t& out) {
-  if (value.kind != JsonValue::Kind::kNumber) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoll(value.text.c_str(), &end, 10);
-  // ERANGE clamps to INT64_MAX/MIN silently; a counter that overflows
-  // int64 cannot round-trip, so reject the report instead of corrupting
-  // the merge.
-  return end != value.text.c_str() && *end == '\0' && errno != ERANGE;
+  return value.kind == JsonValue::Kind::kNumber && read_exact(value.text, out);
 }
 
 bool json_read_double(const JsonValue& obj, const std::string& key, double& out) {
@@ -886,15 +939,7 @@ bool json_read_double(const JsonValue& obj, const std::string& key, double& out)
 }
 
 bool json_read_double(const JsonValue& value, double& out) {
-  if (value.kind != JsonValue::Kind::kNumber) return false;
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtod(value.text.c_str(), &end);
-  // Same errno discipline as json_read_int: strtod signals overflow
-  // (1e999 -> HUGE_VAL) and fatal underflow only through ERANGE, so the
-  // bare check used to parse an unrepresentable max_stretch "successfully"
-  // and corrupt the merge downstream instead of rejecting the report.
-  return end != value.text.c_str() && *end == '\0' && errno != ERANGE;
+  return value.kind == JsonValue::Kind::kNumber && read_exact(value.text, out);
 }
 
 std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* shard,
@@ -905,60 +950,14 @@ std::optional<SweepReport> report_from_json(const std::string& text, ShardInfo* 
     fail_parse(error, "empty file (0 bytes)");
     return std::nullopt;
   }
-  JsonValue root;
-  JsonParser parser(text);
-  if (!parser.parse(root)) {
-    // The stop offset is the diagnosis: a truncated/torn shard file stops
-    // at its last byte, garbage stops where the garbage starts.
-    fail_parse(error, "JSON syntax error at byte offset " +
-                          std::to_string(parser.stop_offset()) + " of " +
-                          std::to_string(text.size()));
-    return std::nullopt;
-  }
-  if (root.kind != JsonValue::Kind::kObject) {
-    fail_parse(error, "top-level value is not an object");
-    return std::nullopt;
-  }
-  // An optional leading provenance block, then exactly the report keys.
+  SweepReport report;
   ShardInfo shard_info;
   IncompleteInfo incomplete_info;
-  size_t first = 0;
-  if (!root.fields.empty() && root.fields[0].first == "shard") {
-    if (!shard_from_json(root.fields[0].second, shard_info, error)) return std::nullopt;
-    first = 1;
-  } else if (!root.fields.empty() && root.fields[0].first == "incomplete") {
-    if (!incomplete_from_json(root.fields[0].second, incomplete_info, error)) {
-      return std::nullopt;
-    }
-    first = 1;
-  }
-  if (!check_keys(root, first, kReportKeys, Block{"the report object"}, error)) {
-    return std::nullopt;
-  }
-  SweepReport report;
-  const Block totals{"totals"};
-  if (!stats_from_json(root.fields[first].second, report.totals, totals, error) ||
-      !check_stats(report.totals, totals, error)) {
-    return std::nullopt;
-  }
-  const JsonValue& rows = root.fields[first + 1].second;
-  if (rows.kind != JsonValue::Kind::kArray) {
-    fail_parse(error, "'per_pair' is not an array");
-    return std::nullopt;
-  }
-  report.per_pair.resize(rows.items.size());
-  for (size_t i = 0; i < rows.items.size(); ++i) {
-    if (!row_from_json(rows.items[i], static_cast<int64_t>(i), report.per_pair[i], error)) {
-      return std::nullopt;
-    }
-  }
-  if (!report.per_pair.empty() && !check_rows_fold_to_totals(report, error)) {
-    return std::nullopt;
-  }
+  if (!ReportCursor(text, error).read(report, shard_info, incomplete_info)) return std::nullopt;
   // Only the engine's bytes are a report: re-encode with the writer the
-  // provenance names and compare. This rejects a derived rate that does not
-  // follow from its counters, a number the writer would spell differently,
-  // and any whitespace inside the document.
+  // provenance names and compare. This rejects a derived value that does
+  // not follow from its counters and a number the writer would spell
+  // differently.
   const std::string engine =
       shard_info.present ? to_json_shard(report, shard_info.index, shard_info.count)
       : incomplete_info.present ? to_json_partial(report, incomplete_info)

@@ -13,11 +13,10 @@
 //                   "destination":..|null,"stats":{...}},...]}
 //   shard report -> {"shard":{"index":i,"count":n},"totals":...} — the
 //                   optional leading "shard" key marks a partial report.
-// Touring rows serialize their kNoVertex destination as null. The parser
-// accepts only the writer's keys in the writer's order, reads only the
-// exact fields (integer counters, the max_stretch double) and recomputes
-// every derived rate, so parse -> serialize reproduces the input byte for
-// byte.
+// Touring rows serialize their kNoVertex destination as null. The report
+// reader is one forward cursor over the writer's layout: it reads only the
+// exact fields and accepts only if re-encoding them reproduces the input
+// byte for byte.
 
 #include <cstddef>
 #include <cstdint>
@@ -143,8 +142,8 @@ inline constexpr int kMaxJsonDepth = 64;
 /// failure returns false and sets *stop_offset (when non-null) to the first
 /// byte the parser could not make sense of — a truncated input stops at its
 /// end, and nesting deeper than kMaxJsonDepth stops at the opening bracket
-/// of level kMaxJsonDepth + 1. The same reader behind report_from_json,
-/// exposed for the serve protocol's request/response parsing.
+/// of level kMaxJsonDepth + 1. Used for the serve protocol's requests and
+/// responses; report_from_json builds no JsonValue.
 [[nodiscard]] bool parse_json(const std::string& text, JsonValue& out,
                               size_t* stop_offset = nullptr);
 
@@ -205,20 +204,18 @@ struct ShardInfo {
 };
 
 /// Parses a SweepReport previously written by to_json / to_json_shard /
-/// to_json_partial. Every object must carry exactly the writer's keys in
-/// the writer's order (an unknown, misspelled, repeated or missing key is
-/// an error naming the key and its block). Reads the exact fields only
-/// (integer counters, max_stretch), then re-encodes the result with the
-/// writer its provenance names and accepts only if that reproduces the
-/// input byte for byte (trailing whitespace aside): a derived rate that
-/// does not follow from its counters, or a number spelled other than the
-/// writer spells it, is rejected with the byte offset, the enclosing key
-/// and both spellings. Returns nullopt on malformed input; fills *shard /
-/// *incomplete when the report carries that provenance.
-/// On failure, *error (when non-null) gets a diagnosis worth relaying to
-/// the operator — "empty file (0 bytes)", "JSON syntax error at byte
-/// offset N", or the missing/invalid field — instead of a generic parse
-/// error: a truncated shard file must name where it broke.
+/// to_json_partial, in one forward pass that matches the writer's keys and
+/// punctuation in the writer's order, reads the exact fields (counters,
+/// max_stretch, vertex ids, provenance) in place and steps over the derived
+/// rates. It then checks the counters, re-encodes the result with the writer
+/// its provenance names, and accepts only if that reproduces the input byte
+/// for byte (trailing whitespace aside). Returns nullopt on malformed input;
+/// fills *shard / *incomplete when the report carries that provenance.
+/// On failure, *error (when non-null) gets a diagnosis that names the byte
+/// offset (all but "empty file (0 bytes)"), e.g. "expected key 'mean_hops'
+/// at byte offset 341 in totals, found \"mean_hosp\"", "truncated at byte
+/// offset N of N: ...", or "not the engine's bytes at byte offset 249 in
+/// 'delivery_rate': read '0.25' where the engine writes '1'".
 [[nodiscard]] std::optional<SweepReport> report_from_json(const std::string& text,
                                                           ShardInfo* shard = nullptr,
                                                           std::string* error = nullptr,

@@ -125,6 +125,23 @@ TEST(RToleranceAttack, HigherToleranceOnK18) {
   EXPECT_GE(edge_connectivity(g, 0, 17, result->defeat.failures), 3);
 }
 
+TEST(RToleranceAttack, GadgetPlanAgreesWithTheWalkForDestinationOnlyPatterns) {
+  // random-stateless hashes header.source, which the destination-only model
+  // hides. The gadget plan probes forward() with the header the simulated
+  // walk shows it, so on K8 (r = 1: one gadget, no trap demotion) every plan
+  // is confirmed by the walk that verifies it, on the first restart.
+  const Graph g = make_complete(8);
+  for (uint64_t pattern_seed = 1; pattern_seed <= 20; ++pattern_seed) {
+    const auto pattern =
+        make_random_stateless_pattern(RoutingModel::kDestinationOnly, pattern_seed);
+    for (uint64_t seed = 1; seed <= 5; ++seed) {
+      const auto result = attack_r_tolerance(g, *pattern, 0, 7, 1, seed);
+      ASSERT_TRUE(result.has_value()) << "pattern seed " << pattern_seed << " seed " << seed;
+      EXPECT_EQ(result->restarts_used, 1) << "pattern seed " << pattern_seed << " seed " << seed;
+    }
+  }
+}
+
 // ---- Theorem 2: r-tolerance is not minor-closed ----------------------------
 
 TEST(Theorem2, RToleranceNotPreservedUnderMinors) {

@@ -168,14 +168,16 @@ file(WRITE "${WORK_DIR}/miscounted.json" "${k5_head}\"looped\":7${k5_tail}")
 run_cli(FALSE - merge "${WORK_DIR}/miscounted.json")
 expect_contains("${cli_err}" "'looped'" "miscounted-report diagnostic")
 # A key the writer never emits (the first "mean_hops" misspelled) names the
-# key and its block.
+# byte offset, the key expected there, its block and what was found.
 string(FIND "${k5_bytes}" "\"mean_hops\"" mean_hops_at)
 string(SUBSTRING "${k5_bytes}" 0 ${mean_hops_at} k5_head)
 math(EXPR k5_tail_at "${mean_hops_at} + 11")
 string(SUBSTRING "${k5_bytes}" ${k5_tail_at} -1 k5_tail)
 file(WRITE "${WORK_DIR}/misspelled.json" "${k5_head}\"mean_hosp\"${k5_tail}")
 run_cli(FALSE - merge "${WORK_DIR}/misspelled.json")
-expect_contains("${cli_err}" "unknown key 'mean_hosp' in totals" "misspelled-key diagnostic")
+expect_contains("${cli_err}"
+                "expected key 'mean_hops' at byte offset ${mean_hops_at} in totals, found \"mean_hosp\""
+                "misspelled-key diagnostic")
 # Only the engine's bytes are a report: the first "delivery_rate":1 turned
 # into 0.25 keeps every counter consistent, but is not what the engine
 # writes for them, and merge names the byte, the key and both spellings.

@@ -8,7 +8,8 @@
 //     the scalar and group cores apart, because both hide the source;
 //   * on the fat-tree |F| <= 1 stream, the source-destination shortest-path
 //     pattern fills exactly as many cache entries as its destination-only
-//     twin, with no insert refused at the capacity cap.
+//     twin, with no insert refused at the capacity cap — and so do their
+//     minor-adapted forms, which pass on the inner pattern's reads_source().
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "graph/builders.hpp"
 #include "resilience/algorithm1_k5.hpp"
 #include "resilience/k33_source.hpp"
+#include "routing/minor_adapt.hpp"
 #include "routing/simulator.hpp"
 #include "sim/scenario.hpp"
 #include "synth/fat_tree.hpp"
@@ -162,8 +164,8 @@ TEST(PatternReadsSource, ScalarAndGroupCoresBothHideAnUnreadSource) {
   EXPECT_FALSE(liar.saw_source);
 }
 
-/// Routes every scenario of the fat-tree k=6 |F| <= 1 stream over all
-/// ordered pairs through `ws`, one route_groups_fast call per batch.
+/// Routes every scenario of the |F| <= 1 stream of `ft` (a fat tree) over
+/// all ordered pairs through `ws`, one route_groups_fast call per batch.
 void route_fat_tree_stream(const Graph& ft, const ForwardingPattern& pattern,
                            RoutingWorkspace& ws) {
   const SimContext ctx(ft);
@@ -210,6 +212,37 @@ TEST(DecisionCache, SourceBlindPatternHoldsOneEntryPerDestination) {
   route_fat_tree_stream(ft, *stateless, sd_ws);
   EXPECT_GT(sd_ws.decision_cache_entries(), dest_only_ws.decision_cache_entries());
   EXPECT_EQ(sd_ws.decision_cache_dropped(), 0);
+}
+
+TEST(DecisionCache, MinorAdaptedPatternKeepsItsInnerSourceBlindness) {
+  // Deleting one link and contracting another keeps the shortest-path
+  // pattern source-blind: the adapted source-destination pattern fills as
+  // many entries as its adapted destination-only twin.
+  const Graph ft = make_fat_tree(4);
+  std::shared_ptr<const ForwardingPattern> sd =
+      make_shortest_path_pattern(RoutingModel::kSourceDestination, ft);
+  std::shared_ptr<const ForwardingPattern> dest_only =
+      make_shortest_path_pattern(RoutingModel::kDestinationOnly, ft);
+  IdSet deleted = ft.empty_edge_set();
+  deleted.insert(0);
+  const Graph reduced = ft.without_edges(deleted);
+  for (const bool contract : {false, true}) {
+    const auto adapt = [&](std::shared_ptr<const ForwardingPattern> inner) {
+      return contract ? adapt_to_contraction(std::move(inner), ft, 0)
+                      : adapt_to_edge_deletion(std::move(inner), ft, deleted);
+    };
+    const Graph minor = contract ? ft.contracted(0) : reduced;
+    const auto sd_minor = adapt(sd);
+    const auto dest_only_minor = adapt(dest_only);
+    EXPECT_FALSE(sd_minor->reads_source());
+    RoutingWorkspace sd_ws;
+    RoutingWorkspace dest_only_ws;
+    route_fat_tree_stream(minor, *sd_minor, sd_ws);
+    route_fat_tree_stream(minor, *dest_only_minor, dest_only_ws);
+    EXPECT_GT(dest_only_ws.decision_cache_entries(), 0u) << "contract " << contract;
+    EXPECT_EQ(sd_ws.decision_cache_entries(), dest_only_ws.decision_cache_entries())
+        << "contract " << contract;
+  }
 }
 
 }  // namespace

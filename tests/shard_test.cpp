@@ -543,49 +543,58 @@ TEST(ShardJson, CountersTheEngineCannotWriteAreRejected) {
 TEST(ShardJson, KeysTheWriterCannotWriteAreRejected) {
   // Every object of a report must carry exactly the writer's keys in the
   // writer's order: a misspelled, unknown, repeated or missing key is a
-  // report no sweep wrote, and the error names the key and the block.
+  // report no sweep wrote, and the error names the byte offset, the key the
+  // reader expected there, the block and what it found instead.
   const SweepReport good = stretch_shard_reports(1)[0];
   ASSERT_GE(good.per_pair.size(), 2u);
   const std::string bytes = to_json(good);
   const size_t row1 = bytes.find("{\"source\":", bytes.find("{\"source\":") + 1);
   ASSERT_NE(row1, std::string::npos);
-  // Replaces the first `from` at or after `at`.
+  // Replaces the first `from` at or after `at`; `offset` gets where it was.
   const auto edited = [](std::string text, size_t at, const std::string& from,
-                         const std::string& to) {
-    const size_t pos = text.find(from, at);
-    EXPECT_NE(pos, std::string::npos) << from;
-    return text.replace(pos, from.size(), to);
+                         const std::string& to, size_t& offset) {
+    offset = text.find(from, at);
+    EXPECT_NE(offset, std::string::npos) << from;
+    return text.replace(offset, from.size(), to);
   };
   const auto expect_rejected = [](const std::string& text, const std::string& needle) {
     std::string error;
     EXPECT_FALSE(report_from_json(text, nullptr, &error).has_value()) << needle;
     EXPECT_NE(error.find(needle), std::string::npos) << error;
   };
-  expect_rejected(edited(bytes, 0, "\"mean_hops\"", "\"mean_hosp\""),
-                  "unknown key 'mean_hosp' in totals");
-  expect_rejected(edited(bytes, row1, "\"loop_rate\"", "\"loop_rat\""),
-                  "unknown key 'loop_rat' in stats of per_pair row 1");
-  expect_rejected(edited(bytes, row1, "\"destination\"", "\"source\":0,\"destination\""),
-                  "repeated key 'source' in per_pair row 1");
-  expect_rejected(edited(bytes, 0, "\"promise_held\"", "\"total\":1,\"promise_held\""),
-                  "repeated key 'total' in totals");
-  expect_rejected(edited(bytes, 0, "{\"totals\"", "{\"extra\":1,\"totals\""),
-                  "unknown key 'extra' in the report object");
-  expect_rejected(edited(bytes, 0, "]}", "],\"per_pair\":[]}"),
-                  "repeated key 'per_pair' in the report object");
+  const auto at = [](size_t offset) { return " at byte offset " + std::to_string(offset); };
+  size_t pos = 0;
+  std::string text = edited(bytes, 0, "\"mean_hops\"", "\"mean_hosp\"", pos);
+  expect_rejected(text, "expected key 'mean_hops'" + at(pos) + " in totals, found \"mean_hosp\"");
+  text = edited(bytes, row1, "\"loop_rate\"", "\"loop_rat\"", pos);
+  expect_rejected(text, "expected key 'loop_rate'" + at(pos) +
+                            " in stats of per_pair row 1, found \"loop_rat\"");
+  text = edited(bytes, row1, "\"destination\"", "\"source\":0,\"destination\"", pos);
+  expect_rejected(text,
+                  "expected key 'destination'" + at(pos) + " in per_pair row 1, found \"source\"");
+  text = edited(bytes, 0, "\"promise_held\"", "\"total\":1,\"promise_held\"", pos);
+  expect_rejected(text, "expected key 'promise_held'" + at(pos) + " in totals, found \"total\"");
+  text = edited(bytes, 0, "\"totals\"", "\"extra\":1,\"totals\"", pos);
+  expect_rejected(text,
+                  "expected key 'totals'" + at(pos) + " in the report object, found \"extra\"");
+  text = edited(bytes, bytes.size() - 2, "]}", "],\"per_pair\":[]}", pos);
+  expect_rejected(text,
+                  "expected '}'" + at(pos + 1) + " in the report object, found \"per_pair\"");
   // A derived field dropped from a row's stats, and the row's last key.
   const size_t held = bytes.find("\"promise_held\":", row1);
   const size_t held_end = bytes.find(',', held);
   expect_rejected(bytes.substr(0, held) + bytes.substr(held_end + 1),
-                  "expected key 'promise_held' but found 'delivered' in stats of per_pair row 1");
+                  "expected key 'promise_held'" + at(held) +
+                      " in stats of per_pair row 1, found \"delivered\"");
   const size_t stretch = bytes.find(",\"mean_stretch\":");
   const size_t stretch_end = bytes.find('}', stretch);
   expect_rejected(bytes.substr(0, stretch) + bytes.substr(stretch_end),
-                  "missing key 'mean_stretch' in totals");
+                  "expected key 'mean_stretch'" + at(stretch) + " in totals, found '}'");
   // Provenance blocks follow the same rule.
   const std::string shard = to_json_shard(good, 0, 1);
   ASSERT_TRUE(report_from_json(shard).has_value());
-  expect_rejected(edited(shard, 0, "\"index\"", "\"idx\""), "unknown key 'idx' in 'shard'");
+  text = edited(shard, 0, "\"index\"", "\"idx\"", pos);
+  expect_rejected(text, "expected key 'index'" + at(pos) + " in 'shard', found \"idx\"");
   IncompleteInfo incomplete;
   incomplete.present = true;
   incomplete.shard_count = 2;
@@ -593,8 +602,8 @@ TEST(ShardJson, KeysTheWriterCannotWriteAreRejected) {
   incomplete.attempts = {3};
   const std::string partial = to_json_partial(good, incomplete);
   ASSERT_TRUE(report_from_json(partial).has_value());
-  expect_rejected(edited(partial, 0, ",\"attempts\":[3]", ""),
-                  "missing key 'attempts' in 'incomplete'");
+  text = edited(partial, 0, ",\"attempts\":[3]", "", pos);
+  expect_rejected(text, "expected key 'attempts'" + at(pos) + " in 'incomplete', found '}'");
 }
 
 TEST(ShardJson, OnlyTheEnginesBytesAreAccepted) {
@@ -620,8 +629,8 @@ TEST(ShardJson, OnlyTheEnginesBytesAreAccepted) {
   expect_rejected(golden, "\"max_stretch\":0", "\"max_stretch\":0.0",
                   "in 'max_stretch': read '0.0' where the engine writes '0'");
   expect_rejected(golden, "{\"total\":", "{\"total\": ",
-                  "in 'total': read ' ' where the engine writes '4096'");
-  expect_rejected(golden, "\n", " x", "JSON syntax error");
+                  "expected a number for 'total' at byte offset 19 in totals, found ' '");
+  expect_rejected(golden, "\n", " x", "trailing bytes at byte offset 1955 of 1956");
   // Shard and partial provenance re-encode with their own writers.
   const SweepReport good = stretch_shard_reports(1)[0];
   expect_rejected(to_json_shard(good, 0, 2), "\"mean_hops\":", "\"mean_hops\":9",
@@ -633,6 +642,80 @@ TEST(ShardJson, OnlyTheEnginesBytesAreAccepted) {
   incomplete.attempts = {3};
   expect_rejected(to_json_partial(good, incomplete), "\"loop_rate\":", "\"loop_rate\":0.5",
                   "in 'loop_rate': read '0.5");
+}
+
+TEST(ShardJson, HostileBytesAreRejectedWithAnOffsetOrReadExactly) {
+  // The K5 golden report in all three of its writers' forms, mutated byte by
+  // byte: every rejection carries a byte offset, and a mutant the reader
+  // accepts (a flipped vertex id, say) is exactly what the writer emits for
+  // what was read. A prefix of a report is never a report.
+  std::string golden;
+  ASSERT_TRUE(read_file(baseline_path("sweep_k5_exhaustive.json"), golden));
+  golden.pop_back();  // the file's newline
+  const auto base = report_from_json(golden);
+  ASSERT_TRUE(base.has_value());
+  IncompleteInfo partial;
+  partial.present = true;
+  partial.shard_count = 3;
+  partial.missing_shards = {0, 2};
+  partial.attempts = {1, 4};
+  int64_t rejected = 0;
+  int64_t accepted = 0;
+  int64_t wrong = 0;
+  std::string first_wrong;
+  const auto check = [&](const std::string& mutant, const std::string& needle) {
+    ShardInfo shard;
+    IncompleteInfo incomplete;
+    std::string error;
+    const auto report = report_from_json(mutant, &shard, &error, &incomplete);
+    bool ok = false;
+    if (report.has_value()) {
+      ++accepted;
+      ok = needle.empty() &&
+           mutant == (shard.present        ? to_json_shard(*report, shard.index, shard.count)
+                      : incomplete.present ? to_json_partial(*report, incomplete)
+                                           : to_json(*report));
+    } else {
+      ++rejected;
+      ok = error.find(needle.empty() ? "byte offset" : needle) != std::string::npos;
+    }
+    if (!ok && wrong++ == 0) first_wrong = (report ? "accepted: " : error + ": ") + mutant;
+  };
+  constexpr std::string_view kCounters[] = {
+      "total",   "promise_broken", "delivered",      "looped",          "dropped",
+      "invalid", "failures_seen",  "hops_delivered", "stretch_samples", "stretch_sum_q32"};
+  const std::string forms[] = {golden, to_json_shard(*base, 1, 3),
+                               to_json_partial(*base, partial)};
+  for (const std::string& text : forms) {
+    for (size_t cut = 1; cut < text.size(); ++cut) {
+      check(text.substr(0, cut), "truncated at byte offset " + std::to_string(cut) + " of " +
+                                     std::to_string(cut));
+    }
+    for (size_t at = 0; at < text.size(); ++at) {
+      for (const char flip : {'0', '"', ',', '}', '9', '-', ' '}) {
+        if (text[at] == flip) continue;
+        std::string mutant = text;
+        mutant[at] = flip;
+        check(mutant, "");
+      }
+    }
+    for (const std::string_view counter : kCounters) {
+      const std::string key = "\"" + std::string(counter) + "\":";
+      for (size_t at = text.find(key); at != std::string::npos; at = text.find(key, at + 1)) {
+        const size_t value = at + key.size();
+        const size_t value_end = text.find_first_of(",}", value);
+        // Out of range: rejected where the value starts. "-0" reads as 0,
+        // so some check downstream of the read rejects it.
+        const std::string at_value = "at byte offset " + std::to_string(value);
+        check(text.substr(0, value) + "1e999" + text.substr(value_end), at_value);
+        check(text.substr(0, value) + "9223372036854775808" + text.substr(value_end), at_value);
+        check(text.substr(0, value) + "-0" + text.substr(value_end), "");
+      }
+    }
+  }
+  EXPECT_EQ(wrong, 0) << "first: " << first_wrong;
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 40000);
 }
 
 TEST(ShardJson, MalformedInputIsRejected) {
