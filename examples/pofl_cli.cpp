@@ -649,15 +649,6 @@ int cmd_sweep(const SweepConfig& cfg) {
   SweepOptions opts;
   opts.compute_stretch = spec.stretch;
   opts.num_threads = cfg.num_threads;
-  // Recorded/replayed unsharded runs pin to one worker unless --threads says
-  // otherwise. The bytes are the same at any thread count; the pin holds
-  // peak memory down, since every extra worker carries its own per-pair
-  // table and routing workspace. (Shard workers are already one process of
-  // many, and keep the default.)
-  if (!spec.shard_set && (!cfg.json_path.empty() || !cfg.check_path.empty()) &&
-      !cfg.threads_set) {
-    opts.num_threads = 1;
-  }
   const SweepEngine engine(opts);
   SweepReport report;
   if (cfg.per_pair || !cfg.json_path.empty() || !cfg.check_path.empty()) {

@@ -176,13 +176,6 @@ SimContext::SimContext(const Graph& g)
 
 namespace {
 
-/// Decision-cache sizing: start small, double at 60% load, stop growing (and
-/// inserting) at the cap — ~2M slots, bounded memory even for adversarial
-/// scenario streams. Lookups keep hitting the resident entries either way;
-/// RoutingWorkspace::decision_cache_dropped counts the refused inserts.
-constexpr size_t kDecisionCacheInitialCap = 1024;
-constexpr size_t kDecisionCacheMaxCap = size_t{1} << 21;
-
 /// Dense per-(node, slot) port-mask memo gate: the table is 64 slots wide
 /// per vertex, so very large graphs skip it and recompute masks per hop.
 constexpr int kPmaskDenseMaxVertices = 4096;
@@ -214,15 +207,7 @@ void RoutingWorkspace::begin_session(const SimContext& ctx, const ForwardingPatt
   }
   // The memoized transitions are a function of (graph structure, pattern);
   // the never-reused uids make this exact even across object lifetimes.
-  const uint64_t graph_uid = ctx.graph().uid();
-  const uint64_t pattern_uid = pattern.uid();
-  if (dc_graph_uid_ != graph_uid || dc_pattern_uid_ != pattern_uid) {
-    std::fill(dc_.begin(), dc_.end(), DecisionSlot{});
-    dc_size_ = 0;
-    dc_dropped_ = 0;
-    dc_graph_uid_ = graph_uid;
-    dc_pattern_uid_ = pattern_uid;
-  }
+  table_->bind(ctx.graph().uid(), pattern.uid());
 }
 
 void RoutingWorkspace::begin_chunk() {
@@ -242,37 +227,6 @@ uint64_t RoutingWorkspace::compute_port_mask(const SimContext& ctx, VertexId v,
   ctx.incident_mask(v).for_each_and(failures,
                                     [&](int e) { mask |= uint64_t{1} << g.port_of(e, v); });
   return mask;
-}
-
-void RoutingWorkspace::insert_decision(uint64_t key_cs, uint64_t key_mask, int64_t next) {
-  if (dc_.empty() || dc_size_ * 5 >= dc_.size() * 3) {
-    if (!dc_.empty() && dc_.size() >= kDecisionCacheMaxCap) {
-      ++dc_dropped_;  // at capacity: the transition is recomputed on every visit
-      return;
-    }
-    grow_decision_cache();
-  }
-  const size_t cap_mask = dc_.size() - 1;
-  size_t i = static_cast<size_t>(decision_hash(key_cs, key_mask)) & cap_mask;
-  while (dc_[i].cs != kEmptySlot) {
-    if (dc_[i].cs == key_cs && dc_[i].mask == key_mask) return;  // already present
-    i = (i + 1) & cap_mask;
-  }
-  dc_[i] = DecisionSlot{key_cs, key_mask, next};
-  ++dc_size_;
-}
-
-void RoutingWorkspace::grow_decision_cache() {
-  const size_t new_cap = dc_.empty() ? kDecisionCacheInitialCap : dc_.size() * 2;
-  std::vector<DecisionSlot> old = std::move(dc_);
-  dc_.assign(new_cap, DecisionSlot{});
-  const size_t cap_mask = new_cap - 1;
-  for (const DecisionSlot& slot : old) {
-    if (slot.cs == kEmptySlot) continue;
-    size_t j = static_cast<size_t>(decision_hash(slot.cs, slot.mask)) & cap_mask;
-    while (dc_[j].cs != kEmptySlot) j = (j + 1) & cap_mask;
-    dc_[j] = slot;
-  }
 }
 
 void RoutingWorkspace::begin_packet(const SimContext& ctx) {
@@ -332,11 +286,11 @@ int32_t compute_decision(const SimContext& ctx, const ForwardingPattern& pattern
   IdSet& local = ws.local_failures();
   local.assign_and(failures, ctx.incident_mask(at));
   const auto out = pattern.forward(g, at, inport, local, visible);
-  if (!out.has_value()) return RoutingWorkspace::kDecisionDrop;
+  if (!out.has_value()) return DecisionTable::kDrop;
   const EdgeId oe = *out;
   const bool incident =
       oe >= 0 && oe < g.num_edges() && (g.edge(oe).u == at || g.edge(oe).v == at);
-  if (!incident || failures.contains(oe)) return RoutingWorkspace::kDecisionInvalid;
+  if (!incident || failures.contains(oe)) return DecisionTable::kInvalid;
   return oe;
 }
 
@@ -442,9 +396,8 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
         const bool cacheable =
             cacheable_graph && (ew || (pmask & RoutingWorkspace::kWidePortMask) == 0);
         const uint64_t key_cs = cls[p] | static_cast<uint32_t>(state);
-        int64_t dec =
-            cacheable ? ws.lookup_decision(key_cs, pmask) : RoutingWorkspace::kDecisionMiss;
-        if (dec == RoutingWorkspace::kDecisionMiss) {
+        int64_t dec = cacheable ? ws.lookup_decision(key_cs, pmask) : DecisionTable::kMiss;
+        if (dec == DecisionTable::kMiss) {
           const int32_t edge = compute_decision(ctx, pattern, *fset[p], at,
                                                 ctx.state_inport(state), visible[p], ws);
           // Cache the *transition* (next state id), not the edge: the hit
@@ -453,7 +406,7 @@ GroupRouteTally route_groups_fast(const SimContext& ctx, const ForwardingPattern
           if (cacheable) ws.insert_decision(key_cs, pmask, dec);
         }
         if (dec < 0) {
-          if (dec == RoutingWorkspace::kDecisionDrop) {
+          if (dec == DecisionTable::kDrop) {
             dropped_now |= bit;
           } else {
             invalid_now |= bit;

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "routing/decision_table.hpp"
 #include "routing/forwarding.hpp"
 
 namespace pofl {
@@ -153,12 +154,12 @@ class RoutingWorkspace {
 
   // -- group-parallel routing (route_groups_fast's side of the contract) ----
   //
-  // The group core keeps two memo layers here. Per *chunk*: lazily computed
+  // The group core keeps two memo layers. Per *chunk*, here: lazily computed
   // per-(node, group-slot) port masks of the locally failed edges, epoch-
-  // stamped so begin_chunk resets them in O(1). Per *workspace lifetime*: a
-  // flat open-addressing cache of forwarding transitions keyed by
-  // (header class, state id, local port mask), where the header class names
-  // the header fields the pattern reads: (source, destination) for a
+  // stamped so begin_chunk resets them in O(1). Per *(graph, pattern)
+  // identity*, in a DecisionTable: forwarding transitions keyed by (header
+  // class, state id, local port mask), where the header class names the
+  // header fields the pattern reads: (source, destination) for a
   // source-destination pattern whose reads_source() is true, the
   // destination alone for one that ignores the source or is
   // destination-only, nothing for touring. forward() is shown only those
@@ -167,24 +168,29 @@ class RoutingWorkspace {
   // one entry per destination, not one per (source, destination) pair.
   // Local masks repeat massively across the failure sets of an exhaustive
   // stream, so after warmup almost every hop is one hash probe instead of a
-  // pattern.forward() call. The cache is tied to one (graph, pattern)
-  // identity via Graph::uid / ForwardingPattern::uid — never-reused tokens,
-  // so a workspace persisted across calls (and across SweepEngine runs)
-  // keeps its warm cache without address-aliasing hazards, and flushes
-  // exactly when the graph or pattern actually changes.
+  // pattern.forward() call. By default the workspace routes through its own
+  // table, tied to one identity via Graph::uid / ForwardingPattern::uid —
+  // never-reused tokens, so a workspace persisted across calls keeps its
+  // warm table without address-aliasing hazards, and flushes exactly when
+  // the graph or pattern actually changes. The SweepEngine instead binds
+  // one table per identity that all of its workers share.
 
-  /// Decision-cache sentinel values (< 0 so they never collide with states).
-  static constexpr int64_t kDecisionMiss = -1;
-  static constexpr int64_t kDecisionDrop = -2;
-  static constexpr int64_t kDecisionInvalid = -3;
   /// Port-mask flag: the node's degree exceeds 63 ports, so its local
   /// failure set does not fit the mask word and its decisions bypass the
   /// cache (real masks only ever use bits 0..62).
   static constexpr uint64_t kWidePortMask = uint64_t{1} << 63;
 
+  /// Routes later route_groups_fast calls through `table`, shared with other
+  /// workers, or back through the workspace's own table with nullptr. A
+  /// shared table must already be bound to the identity routed on, must
+  /// outlive its use here, and its holder brackets each call with
+  /// enter()/leave().
+  void use_decision_table(DecisionTable* table) { table_ = table != nullptr ? table : &own_table_; }
+
   /// Binds the workspace to (ctx, pattern) for one route_groups_fast call:
-  /// sizes the group buffers and flushes the decision cache iff the
-  /// (graph uid, pattern uid) identity changed since the previous call.
+  /// sizes the group buffers and binds the decision table to the (graph
+  /// uid, pattern uid) identity, which flushes the workspace's own table iff
+  /// the identity changed since the previous call.
   void begin_session(const SimContext& ctx, const ForwardingPattern& pattern);
 
   /// Starts a new <= 64-packet lockstep chunk (resets the per-state seen
@@ -232,35 +238,24 @@ class RoutingWorkspace {
   }
 
   /// Cached transition for (class/state key, port mask): the next state id,
-  /// kDecisionDrop, kDecisionInvalid — or kDecisionMiss when absent.
+  /// DecisionTable::kDrop, DecisionTable::kInvalid — or DecisionTable::kMiss
+  /// when absent.
   [[nodiscard]] int64_t lookup_decision(uint64_t key_cs, uint64_t key_mask) const {
-    if (dc_.empty()) return kDecisionMiss;
-    const size_t cap_mask = dc_.size() - 1;
-    size_t i = static_cast<size_t>(decision_hash(key_cs, key_mask)) & cap_mask;
-    for (;; i = (i + 1) & cap_mask) {
-      const DecisionSlot& slot = dc_[i];
-      if (slot.cs == key_cs && slot.mask == key_mask) return slot.next;
-      if (slot.cs == kEmptySlot) return kDecisionMiss;
-    }
+    return table_->lookup(key_cs, key_mask);
   }
-  /// Inserts a computed transition (no-op once the cache is at capacity).
-  void insert_decision(uint64_t key_cs, uint64_t key_mask, int64_t next);
+  /// Inserts a computed transition (refused past the table's load limit).
+  void insert_decision(uint64_t key_cs, uint64_t key_mask, int64_t next) {
+    table_->insert(key_cs, key_mask, next);
+  }
 
-  /// Transitions resident in the decision cache, and inserts it refused at
-  /// its capacity cap, both since it was last flushed (a begin_session with
-  /// a new graph or pattern identity).
-  [[nodiscard]] size_t decision_cache_entries() const { return dc_size_; }
-  [[nodiscard]] int64_t decision_cache_dropped() const { return dc_dropped_; }
+  /// Transitions resident in the decision table in use, and inserts it
+  /// refused, since it was last flushed. Telemetry, never report bytes: on a
+  /// table shared by several workers both can depend on scheduling (see
+  /// DecisionTable::entries); on a single-worker table they are exact.
+  [[nodiscard]] size_t decision_cache_entries() const { return table_->entries(); }
+  [[nodiscard]] int64_t decision_cache_dropped() const { return table_->dropped(); }
 
  private:
-  /// One decision-cache entry, padded to 32 bytes so a probe touches one
-  /// cache line (the 3-parallel-array layout it replaces touched three).
-  struct alignas(32) DecisionSlot {
-    uint64_t cs = ~uint64_t{0};  // kEmptySlot marks a free slot
-    uint64_t mask = 0;
-    int64_t next = 0;
-  };
-
   /// One state's chunk seen row with its validity stamp on the same cache
   /// line (a split row/stamp array pair would touch two lines per probe).
   struct SeenRow {
@@ -268,17 +263,8 @@ class RoutingWorkspace {
     uint32_t stamp = 0;
   };
 
-  /// Mixes the 128-bit decision key down to a table index seed.
-  [[nodiscard]] static uint64_t decision_hash(uint64_t key_cs, uint64_t key_mask) {
-    uint64_t h = key_mask * 0x9e3779b97f4a7c15ull;
-    h ^= key_cs + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
-    return h ^ (h >> 27);
-  }
-
   [[nodiscard]] uint64_t compute_port_mask(const SimContext& ctx, VertexId v,
                                            const IdSet& failures);
-  void grow_decision_cache();
 
   uint32_t epoch_ = 0;
   std::vector<uint32_t> seen_;        // per state: seen iff stamp == epoch_
@@ -297,15 +283,8 @@ class RoutingWorkspace {
   std::vector<uint64_t> pmask_;        // (v << 6 | slot): local failure ports
   std::vector<uint32_t> pmask_stamp_;
   std::vector<SeenRow> gseen_;         // per state: chunk seen row + stamp
-  // Decision cache: flat open addressing over DecisionSlots, capacity a
-  // power of two. cs == kEmptySlot marks a free slot (never a real key: the
-  // class id fits 31 bits for any graph the cache admits).
-  static constexpr uint64_t kEmptySlot = ~uint64_t{0};
-  std::vector<DecisionSlot> dc_;
-  size_t dc_size_ = 0;
-  int64_t dc_dropped_ = 0;       // inserts refused at the capacity cap
-  uint64_t dc_graph_uid_ = 0;    // cache identity: graph ... (0 = unbound)
-  uint64_t dc_pattern_uid_ = 0;  // ... and pattern uids
+  DecisionTable own_table_;             // standalone use; allocated on first insert
+  DecisionTable* table_ = &own_table_;  // the table route_groups_fast memoizes in
 };
 
 struct RoutingResult {
@@ -365,12 +344,12 @@ struct GroupRouteTally {
 /// One 64-bit word per (state, chunk) carries the packets' seen bits,
 /// termination is tracked in per-outcome words, and the tallies accumulate
 /// via popcount per round. Forwarding transitions are memoized in the
-/// workspace keyed by (header class, state id, local failure port mask),
-/// where the class is computed once per packet from the header forward()
-/// sees (the source masked unless the pattern reads it) — sound because the
-/// pattern contract makes a transition a pure function of that key — so
-/// repeated states inside a chunk and across groups, sources, calls and
-/// engine runs skip pattern.forward entirely.
+/// workspace's decision table keyed by (header class, state id, local
+/// failure port mask), where the class is computed once per packet from the
+/// header forward() sees (the source masked unless the pattern reads it) —
+/// sound because the pattern contract makes a transition a pure function of
+/// that key — so repeated states inside a chunk and across groups, sources,
+/// calls, workers and engine runs skip pattern.forward entirely.
 ///
 /// Per packet, the outcome and hop count are bit-identical to
 /// route_packet_fast with the same arguments (destinations[i] must not be

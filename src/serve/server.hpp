@@ -3,13 +3,14 @@
 // Sweep-as-a-service: the resident pofl_serve daemon.
 //
 // Every sweep the CLI runs pays the same startup tax — parse the GraphML,
-// rebuild the shortest-path pattern, re-warm the engine's per-worker
-// decision caches — and then throws all of it away. The daemon keeps those
-// hot: graphs, their forwarding patterns, the SweepEngines (whose pooled
-// worker slots persist the routing decision cache between runs), and a
-// content-addressed LRU of finished report serializations. Clients connect over TCP and speak line-delimited JSON —
-// one request object per line, one response object per line, parsed and
-// written by the PR 5 machinery in sim/sweep_json (no new dependencies).
+// rebuild the shortest-path pattern, re-warm the engine's decision table —
+// and then throws all of it away. The daemon keeps those hot: graphs, their
+// forwarding patterns, the SweepEngines (which retain one shared routing
+// decision table per recently swept (graph, pattern) between runs), and a
+// content-addressed LRU of finished report serializations. Clients connect
+// over TCP and speak line-delimited JSON — one request object per line, one
+// response object per line, parsed and written by the PR 5 machinery in
+// sim/sweep_json (no new dependencies).
 //
 // Requests ({"cmd": ...}):
 //   ping        liveness probe                      -> {"ok":true,"pong":true}
@@ -123,9 +124,10 @@ class SweepServer {
   std::vector<std::unique_ptr<GraphEntry>> graphs_;  // registration order
 
   // Two resident engines shared by every sweep request: stretch on/off is a
-  // per-engine option, and keeping both alive keeps both decision caches
-  // warm. Witness requests run on the plain engine. Engines are thread-safe (pooled worker slots), so concurrent
-  // connections share them without serialization.
+  // per-engine option, and keeping both alive keeps both engines' decision
+  // tables warm. Witness requests run on the plain engine. Engines are
+  // thread-safe (pooled worker slots, shareable decision tables), so
+  // concurrent connections share them without serialization.
   SweepEngine stretch_engine_;
   SweepEngine plain_engine_;
 

@@ -302,12 +302,12 @@ void run_on_pool(int num_threads, const std::function<void()>& worker) {
 
 }  // namespace
 
-/// One worker's reusable scratch, pooled on the engine so it survives run()
-/// boundaries. What persists usefully is the RoutingWorkspace: its packed
-/// decision cache stays warm across repeated sweeps of the same (graph,
-/// pattern) — begin_session compares uids and only flushes on a change. The
-/// group scratch also persists its storage, but its graph-pointing union-find
-/// is dropped at checkout; see checkout_slot.
+/// One worker's reusable scratch, pooled on the engine so its storage
+/// survives run() boundaries: the workspace's buffers, the group scratch,
+/// the per-pair map and the batch. It holds no decision memo of its own —
+/// checkout binds the workspace to the run's shared DecisionTable, and
+/// checkin unbinds it — and its graph-pointing union-find is dropped at
+/// checkout; see checkout_slot.
 struct SweepEngine::WorkerSlot {
   RoutingWorkspace ws;
   GroupScratch scratch;
@@ -320,7 +320,7 @@ SweepEngine::SweepEngine(SweepOptions opts) : opts_(std::move(opts)) {}
 
 SweepEngine::~SweepEngine() = default;
 
-std::unique_ptr<SweepEngine::WorkerSlot> SweepEngine::checkout_slot() const {
+std::unique_ptr<SweepEngine::WorkerSlot> SweepEngine::checkout_slot(DecisionTable& table) const {
   std::unique_ptr<WorkerSlot> slot;
   {
     const std::lock_guard<std::mutex> lock(pool_mutex_);
@@ -334,16 +334,33 @@ std::unique_ptr<SweepEngine::WorkerSlot> SweepEngine::checkout_slot() const {
   // which this run's graph need not outlive-match even when the uids agree
   // (a structurally identical copy shares the uid but not the address).
   // Dropping it is cheap — it rebuilds lazily, at most once per run.
-  // Everything else in the slot is either self-revalidating (the decision
-  // cache, via uids in begin_session) or plain reusable storage.
+  // Everything else in the slot is plain reusable storage.
   slot->scratch.inc.reset();
   slot->local_pairs.clear();
+  slot->ws.use_decision_table(&table);
   return slot;
 }
 
 void SweepEngine::checkin_slot(std::unique_ptr<WorkerSlot> slot) const {
+  slot->ws.use_decision_table(nullptr);  // the table may be evicted and freed
   const std::lock_guard<std::mutex> lock(pool_mutex_);
   pool_.push_back(std::move(slot));
+}
+
+std::shared_ptr<DecisionTable> SweepEngine::acquire_table(const Graph& g,
+                                                          const ForwardingPattern& pattern) const {
+  const std::lock_guard<std::mutex> lock(pool_mutex_);
+  for (auto it = tables_.begin(); it != tables_.end(); ++it) {
+    if ((*it)->bound_to(g.uid(), pattern.uid())) {
+      std::rotate(it, it + 1, tables_.end());
+      return tables_.back();
+    }
+  }
+  auto table = std::make_shared<DecisionTable>(DecisionTable::kInitialSlots);
+  table->bind(g.uid(), pattern.uid());
+  if (tables_.size() == kRetainedTables) tables_.erase(tables_.begin());
+  tables_.push_back(table);
+  return table;
 }
 
 SweepStats SweepEngine::run(const Graph& g, const ForwardingPattern& pattern,
@@ -373,8 +390,10 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
   std::mutex source_mutex;
   std::mutex stats_mutex;
 
+  const std::shared_ptr<DecisionTable> table = acquire_table(g, pattern);
+
   auto worker = [&]() {
-    std::unique_ptr<WorkerSlot> slot_owner = checkout_slot();
+    std::unique_ptr<WorkerSlot> slot_owner = checkout_slot(*table);
     WorkerSlot& slot = *slot_owner;
     SweepStats local;
     for (;;) {
@@ -384,6 +403,7 @@ SweepReport SweepEngine::run_impl(const Graph& g, const ForwardingPattern& patte
         n = source.next_batch(batch_size, slot.batch);
       }
       if (n == 0) break;
+      const DecisionTable::Batch in_table(*table);
       process_batch_groups(ctx, pattern, slot.batch, n, opts_, base_ptr, collect_per_pair,
                            local, slot.local_pairs, slot.ws, slot.scratch, nullptr);
     }
@@ -440,9 +460,10 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
   std::mutex source_mutex;
   std::mutex best_mutex;
   int64_t produced = 0;
+  const std::shared_ptr<DecisionTable> table = acquire_table(g, pattern);
 
   auto worker = [&]() {
-    std::unique_ptr<WorkerSlot> slot_owner = checkout_slot();
+    std::unique_ptr<WorkerSlot> slot_owner = checkout_slot(*table);
     WorkerSlot& slot = *slot_owner;
     SweepStats scratch;
     for (;;) {
@@ -460,9 +481,12 @@ std::optional<SweepFinding> SweepEngine::find_first_violation(const Graph& g,
         produced += n;
       }
       slot.violations.resize(static_cast<size_t>(n));
-      process_batch_groups(ctx, pattern, slot.batch, n, opts_, /*base=*/nullptr,
-                           /*collect_per_pair=*/false, scratch, slot.local_pairs, slot.ws,
-                           slot.scratch, slot.violations.data());
+      {
+        const DecisionTable::Batch in_table(*table);
+        process_batch_groups(ctx, pattern, slot.batch, n, opts_, /*base=*/nullptr,
+                             /*collect_per_pair=*/false, scratch, slot.local_pairs, slot.ws,
+                             slot.scratch, slot.violations.data());
+      }
       for (int i = 0; i < n; ++i) {
         const int64_t index = start + i;
         if (index >= best.load(std::memory_order_relaxed)) break;

@@ -23,11 +23,13 @@
 // exhaustive groups and Monte Carlo singletons still fill the word-packed
 // machinery) whose seen/terminated state lives in 64-bit words, with
 // forwarding transitions memoized per (header class, state, local failure
-// mask) in the worker's workspace, the class naming only the header fields
-// the pattern reads. Worker scratch persists across runs in an
-// engine-owned pool, so the decision cache stays warm for repeated sweeps of
-// the same (graph, pattern). Outcomes and hop counts are bit-identical to
-// route_packet_fast one packet at a time (tests/group_route_test pins this).
+// mask), the class naming only the header fields the pattern reads. The
+// memo is one DecisionTable per (graph, pattern) identity, owned by the
+// engine and shared by every worker of every run on that identity, so a
+// miss is computed once per run rather than once per worker, and repeated
+// sweeps of the same (graph, pattern) start warm. Outcomes and hop counts
+// are bit-identical to route_packet_fast one packet at a time
+// (tests/group_route_test pins this).
 //
 // The promise discipline matches the paper: a scenario whose failure set
 // disconnects s from t breaks the promise and is tallied separately — rates
@@ -60,6 +62,7 @@
 
 #include "graph/connectivity.hpp"
 #include "graph/graph.hpp"
+#include "routing/decision_table.hpp"
 #include "routing/forwarding.hpp"
 #include "routing/simulator.hpp"
 #include "sim/scenario.hpp"
@@ -235,9 +238,10 @@ class SweepEngine {
   explicit SweepEngine(SweepOptions opts = {});
   ~SweepEngine();
   // The engine owns a pool of per-worker scratch states (workspaces, promise
-  // union-finds, decision caches) that persist across runs; pooling makes it
-  // non-copyable. Sharing one engine across threads is still fine — the pool
-  // hands each concurrent worker its own slot.
+  // union-finds) and the shared decision tables, all persisting across runs;
+  // that makes it non-copyable. Sharing one engine across threads is still
+  // fine — the pool hands each concurrent worker its own slot, and a
+  // decision table is safe to share.
   SweepEngine(const SweepEngine&) = delete;
   SweepEngine& operator=(const SweepEngine&) = delete;
 
@@ -276,24 +280,30 @@ class SweepEngine {
  private:
   // One worker's reusable scratch (workspace + promise union-find + batch
   // storage), checked out of the pool for the duration of a run and returned
-  // afterwards. Persisting these across runs is what keeps the routing
-  // decision cache warm between run() calls on the same (graph, pattern) —
-  // the cache invalidates itself via Graph/ForwardingPattern uids when
-  // either changes. Defined in sweep.cpp.
+  // afterwards. Defined in sweep.cpp.
   struct WorkerSlot;
+  /// Decision tables an engine retains, the least recently used evicted
+  /// first: bounded memory for a loop of one engine over many graphs, and a
+  /// warm table for a daemon alternating between a few.
+  static constexpr size_t kRetainedTables = 4;
 
   [[nodiscard]] SweepReport run_impl(const Graph& g, const ForwardingPattern& pattern,
                                      ScenarioSource& source, bool collect_per_pair) const;
-  // Pops (or creates) a slot. The promise union-find points into the
-  // previous run's graph, so it is dropped — it rebuilds lazily, once per
-  // run at most. The decision cache is kept: it holds no pointers, and
-  // begin_session revalidates it against the Graph/ForwardingPattern uids.
-  [[nodiscard]] std::unique_ptr<WorkerSlot> checkout_slot() const;
+  // Pops (or creates) a slot, routing through `table`. The promise
+  // union-find points into the previous run's graph, so it is dropped — it
+  // rebuilds lazily, once per run at most.
+  [[nodiscard]] std::unique_ptr<WorkerSlot> checkout_slot(DecisionTable& table) const;
   void checkin_slot(std::unique_ptr<WorkerSlot> slot) const;
+  // The shared decision table of (g, pattern): the retained one, or a new
+  // one that evicts the least recently used past kRetainedTables. A run
+  // holds its table by shared_ptr, so eviction never frees a table in use.
+  [[nodiscard]] std::shared_ptr<DecisionTable> acquire_table(
+      const Graph& g, const ForwardingPattern& pattern) const;
 
   SweepOptions opts_;
   mutable std::mutex pool_mutex_;
   mutable std::vector<std::unique_ptr<WorkerSlot>> pool_;
+  mutable std::vector<std::shared_ptr<DecisionTable>> tables_;  // least recently used first
 };
 
 }  // namespace pofl

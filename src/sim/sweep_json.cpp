@@ -25,6 +25,22 @@ bool checked_strtol(const char* s, char** end, long& out) {
   return *end != s && errno != ERANGE;
 }
 
+/// Reads the value of the integer flag at argv[i] into `out`, advancing i,
+/// and marks the flag `seen` once it has a value. The long is range-checked
+/// against [lo, hi] before the int cast: 2^32+1 used to truncate to a
+/// silently wrong small value.
+bool parse_count_flag(int argc, char** argv, int& i, long lo, long hi, int& out, bool& seen) {
+  if (i + 1 >= argc) return false;
+  seen = true;
+  char* end = nullptr;
+  long value = 0;
+  if (!checked_strtol(argv[++i], &end, value) || *end != '\0' || value < lo || value > hi) {
+    return false;
+  }
+  out = static_cast<int>(value);
+  return true;
+}
+
 bool needs_escape(char c) {
   return c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20;
 }
@@ -95,35 +111,15 @@ BenchArgs parse_bench_args(int argc, char** argv) {
       }
       args.shard_set = true;
     } else if (std::strcmp(argv[i], "--procs") == 0) {
-      if (i + 1 >= argc) {
+      if (!parse_count_flag(argc, argv, i, 1, 1024, args.procs, args.procs_set)) {
         args.error = true;
         return args;
       }
-      // Range-check the long before the int cast: 2^32+1 used to truncate
-      // to a silently wrong small --procs value.
-      char* end = nullptr;
-      long procs = 0;
-      args.procs_set = true;
-      if (!checked_strtol(argv[++i], &end, procs) || *end != '\0' || procs < 1 ||
-          procs > 1024) {
-        args.error = true;
-        return args;
-      }
-      args.procs = static_cast<int>(procs);
     } else if (std::strcmp(argv[i], "--threads") == 0) {
-      if (i + 1 >= argc) {
+      if (!parse_count_flag(argc, argv, i, 0, 1'000'000, args.num_threads, args.threads_set)) {
         args.error = true;
         return args;
       }
-      char* end = nullptr;
-      long threads = 0;
-      args.threads_set = true;
-      if (!checked_strtol(argv[++i], &end, threads) || *end != '\0' || threads < 0 ||
-          threads > 1'000'000) {
-        args.error = true;
-        return args;
-      }
-      args.num_threads = static_cast<int>(threads);
     } else if (std::strncmp(argv[i], "--", 2) == 0) {
       // Unknown flags (misspellings, --json=path) must fail loudly, not
       // silently become positionals.

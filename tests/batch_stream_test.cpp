@@ -256,8 +256,12 @@ TEST(FastDraw, IidSampleMatchesReferenceSequence) {
         const std::vector<int> ref = reference_iid_sample(ref_rng, 61, threshold);
         EXPECT_EQ(fast.to_vector(), ref) << "seed " << seed << " p " << p << " draw " << draw;
       }
-      if (p == 0.0) EXPECT_TRUE(fast.empty());
-      if (p == 1.0) EXPECT_EQ(fast.count(), 61);
+      if (p == 0.0) {
+        EXPECT_TRUE(fast.empty());
+      }
+      if (p == 1.0) {
+        EXPECT_EQ(fast.count(), 61);
+      }
     }
   }
 }

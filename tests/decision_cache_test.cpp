@@ -2,7 +2,9 @@
 // pattern reads. These tests pin both sides of that contract:
 //
 //   * a pattern whose reads_source() is false forwards alike for every
-//     source (and for none), checked exhaustively on small graphs;
+//     source (and for none), checked exhaustively on small graphs for every
+//     pattern the corpus and make_named_pattern build, and for the named
+//     patterns' edge-deletion and contraction adaptations;
 //   * patterns that do read the source say so;
 //   * a pattern that claims false but reads the source anyway cannot tell
 //     the scalar and group cores apart, because both hide the source;
@@ -10,6 +12,9 @@
 //     pattern fills exactly as many cache entries as its destination-only
 //     twin, with no insert refused at the capacity cap — and so do their
 //     minor-adapted forms, which pass on the inner pattern's reads_source().
+//     Entry counts are exact only on a single-worker table like these; on a
+//     table shared by several workers they are telemetry that can depend on
+//     scheduling, never report bytes.
 
 #include <gtest/gtest.h>
 
@@ -94,6 +99,41 @@ TEST(PatternReadsSource, SourceBlindPatternsForwardAlikeForEverySource) {
     // id-cyclic, shortest-path, bounce-shy and two random-cyclic variants
     // in the source-destination corpus, plus 4 per extra model.
     EXPECT_EQ(checked, 5 + 8);
+  }
+}
+
+TEST(PatternReadsSource, EveryNamedPatternAndItsMinorFormsIsHonest) {
+  // Every family make_named_pattern builds (two seeds for the randomized
+  // ones), on the graph and adapted to deleting one link and to contracting
+  // it. A wrapper passes on its inner pattern's reads_source(), and a
+  // pattern that claims false must forward alike for every source.
+  const Graph graphs[] = {make_complete(5), make_fat_tree(4),
+                          make_outerplanar_plus_hubs(12, 1, /*seed=*/3)};
+  const std::string names[] = {
+      "shortest-path",      "id-cyclic",         "bounce-shy", "random-cyclic:1", "random-cyclic:7",
+      "random-stateless:1", "random-stateless:7"};
+  for (const Graph& g : graphs) {
+    IdSet deleted = g.empty_edge_set();
+    deleted.insert(0);
+    const Graph reduced = g.without_edges(deleted);
+    const Graph contracted = g.contracted(0);
+    int checked = 0;
+    for (const std::string& name : names) {
+      std::shared_ptr<const ForwardingPattern> pattern = make_named_pattern(name, g);
+      ASSERT_NE(pattern, nullptr) << name;
+      const auto by_deletion = adapt_to_edge_deletion(pattern, g, deleted);
+      const auto by_contraction = adapt_to_contraction(pattern, g, 0);
+      EXPECT_EQ(by_deletion->reads_source(), pattern->reads_source()) << name;
+      EXPECT_EQ(by_contraction->reads_source(), pattern->reads_source()) << name;
+      if (pattern->reads_source()) continue;
+      expect_source_blind(g, *pattern);
+      expect_source_blind(reduced, *by_deletion);
+      expect_source_blind(contracted, *by_contraction);
+      if (HasFatalFailure()) return;
+      ++checked;
+    }
+    // Only random-stateless reads the source.
+    EXPECT_EQ(checked, 5);
   }
 }
 

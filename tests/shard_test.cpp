@@ -244,7 +244,9 @@ TEST(ShardPartition, MoreShardsThanGroupsYieldsEmptyShards) {
     source.shard(i, 8);
     const auto shard = materialize(source);
     EXPECT_EQ(source.total_hint(), static_cast<int64_t>(shard.size())) << "shard " << i;
-    if (i >= 3) EXPECT_TRUE(shard.empty()) << "shard " << i;
+    if (i >= 3) {
+      EXPECT_TRUE(shard.empty()) << "shard " << i;
+    }
     produced += static_cast<int64_t>(shard.size());
   }
   EXPECT_EQ(produced, 3);
